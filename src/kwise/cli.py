@@ -6,8 +6,9 @@ keys are sorted, exact rationals appear as numerator/denominator strings,
 enclosure bounds as decimal strings, so identical configurations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 a verification identity failed, 2 invalid input,
-3 the requested exact count exceeds the enumeration budget.
+Exit codes: 0 success, 1 a verification identity failed (including shift
+operators that disagree), 2 invalid input, 3 the requested exact count
+exceeds the enumeration budget.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
+from typing import Callable
 
 from .arith import sieve_primes
 from .coprime import (
@@ -35,40 +37,13 @@ from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
     constraint_factor,
-    kwise_coprime_probability,
     limiting_density,
     mobius_ratio_identity,
 )
 from .recursion import verify_recursion
 from .stats import convergence_table, monte_carlo
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: flag defaults applied, moduli parsed."""
-
-    command: str
-    format: str
-    output: str | None
-    s: int | None = None
-    k: int | None = None
-    u: tuple[int, ...] | None = None
-    n: int | None = None
-    prime_limit: int | None = None
-    precision: int | None = None
-    strategy: str | None = None
-    threads: int | None = None
-    budget: int | None = None
-    range_n: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    streams: int | None = None
-    grid: tuple[int, ...] | None = None
-    u_max: int | None = None
-    n_max: int | None = None
-    limit: int | None = None
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,163 +117,162 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _resolve_constraint(args: argparse.Namespace) -> ConstraintVector:
-    u = getattr(args, "u", None)
-    k = getattr(args, "k", None)
-    if u is not None:
-        constraint = ConstraintVector(_parse_int_list(u, "--u"))
-        if k is not None and k != constraint.k:
-            raise ValueError(
-                f"--k {k} conflicts with --u of length {len(constraint.moduli)}, "
-                f"which implies k = {constraint.k}"
-            )
-        return constraint
-    if k is None:
-        raise ValueError("either --k or --u is required")
-    return ConstraintVector.trivial(k)
+    if args.u is None:
+        if args.k is None:
+            raise ValueError("either --k or --u is required")
+        return ConstraintVector.trivial(args.k)
+    constraint = ConstraintVector(_parse_int_list(args.u, "--u"))
+    if args.k is not None and args.k != constraint.k:
+        raise ValueError(
+            f"--k {args.k} conflicts with --u of length {len(constraint.moduli)}, "
+            f"which implies k = {constraint.k}"
+        )
+    return constraint
 
 
-def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, ConstraintVector | None]:
-    command = args.command
-    fields: dict = {"command": command, "format": args.format, "output": args.output}
-    constraint = None
-    if command in ("density", "count", "mc", "converge", "verify-recursion"):
-        constraint = _resolve_constraint(args)
-        fields["s"] = args.s
-        fields["k"] = constraint.k
-        fields["u"] = constraint.moduli
-    if command == "density":
-        fields["prime_limit"] = args.prime_limit
-        fields["precision"] = args.precision
-    elif command == "count":
-        fields["n"] = args.n
-        fields["strategy"] = args.strategy
-        fields["threads"] = args.threads or os.cpu_count() or 1
-        fields["budget"] = args.budget
-    elif command == "mc":
-        fields["range_n"] = args.range_n
-        fields["samples"] = args.samples
-        fields["seed"] = args.seed
-        fields["streams"] = args.streams
-    elif command == "converge":
-        fields["grid"] = _parse_int_list(args.grid, "--grid")
-        fields["prime_limit"] = args.prime_limit
-        fields["precision"] = args.precision
-        fields["threads"] = args.threads or os.cpu_count() or 1
-        fields["budget"] = args.budget
-    elif command == "verify-lemma4":
-        fields["s"] = args.s
-        fields["k"] = args.k
-        fields["u_max"] = args.u_max
-    elif command == "verify-recursion":
-        fields["n_max"] = args.n_max
-        fields["threads"] = args.threads or os.cpu_count() or 1
-        fields["budget"] = args.budget
-    elif command == "primes":
-        fields["limit"] = args.limit
-    return RunConfig(**fields), constraint
+def _resolve_inputs(
+    names: tuple[str, ...], args: argparse.Namespace
+) -> tuple[dict, ConstraintVector | None]:
+    """The command's recorded inputs, flag defaults applied, moduli parsed."""
+    constraint = _resolve_constraint(args) if "u" in names else None
+    inputs = {}
+    for name in names:
+        if name == "k" and constraint is not None:
+            inputs[name] = constraint.k
+        elif name == "u":
+            inputs[name] = constraint.moduli
+        elif name == "threads":
+            inputs[name] = args.threads or os.cpu_count() or 1
+        elif name == "grid":
+            inputs[name] = _parse_int_list(args.grid, "--grid")
+        else:
+            inputs[name] = getattr(args, name)
+    return inputs, constraint
 
 
-def _enclosure_doc(enc) -> dict:
-    return {
-        "lower": enc.lower,
-        "upper": enc.upper,
-        "point": enc.point,
-        "width": enc.width,
-        "tail_bound": enc.tail_bound,
-        "prime_limit": enc.prime_limit,
-    }
+class _VerificationFailure(Exception):
+    """A verifier could not produce its report because two routes disagree."""
 
 
-def _run_density(cfg: RunConfig, constraint: ConstraintVector) -> tuple[dict, int]:
-    trivial = all(u == 1 for u in constraint.moduli)
-    if trivial:
-        enc = kwise_coprime_probability(cfg.s, cfg.k, cfg.prime_limit, cfg.precision)
-        result = _enclosure_doc(enc)
-    else:
-        enc = limiting_density(cfg.s, constraint, cfg.prime_limit, cfg.precision)
-        result = _enclosure_doc(enc)
+_ENCLOSURE = ("lower", "upper", "point", "width", "tail_bound", "prime_limit")
+_REPORT = ("n", "lhs", "rhs_reduced", "rhs_raw", "passed")
+
+
+def _run_density(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
+    s = inp["s"]
+    enc = limiting_density(s, constraint, inp["prime_limit"], inp["precision"])
+    result = {name: getattr(enc, name) for name in _ENCLOSURE}
+    if any(u != 1 for u in constraint.moduli):
         result["constraint_factors"] = [
-            {"i": i, "u": u, "factor": constraint_factor(cfg.s, cfg.k, i, u)}
+            {"i": i, "u": u, "factor": constraint_factor(s, constraint.k, i, u)}
             for i, u in enumerate(constraint.moduli, start=1)
         ]
-    return {"result": result}, 0
+    return result, 0
 
 
-def _run_count(cfg: RunConfig, constraint: ConstraintVector) -> tuple[dict, int]:
+def _run_count(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
     count = count_tuples(
-        cfg.s,
+        inp["s"],
         constraint,
-        cfg.n,
-        strategy=cfg.strategy,
-        threads=cfg.threads,
-        budget=cfg.budget,
+        inp["n"],
+        strategy=inp["strategy"],
+        threads=inp["threads"],
+        budget=inp["budget"],
     )
-    return {"result": {"n": cfg.n, "count": count}}, 0
+    return {"n": inp["n"], "count": count}, 0
 
 
-def _run_mc(cfg: RunConfig, constraint: ConstraintVector) -> tuple[dict, int]:
-    est = monte_carlo(cfg.s, constraint, cfg.range_n, cfg.samples, cfg.seed, cfg.streams)
-    return {"result": asdict(est)}, 0
+def _run_mc(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
+    est = monte_carlo(
+        inp["s"], constraint, inp["range_n"], inp["samples"], inp["seed"], inp["streams"]
+    )
+    return asdict(est), 0
 
 
-def _run_converge(cfg: RunConfig, constraint: ConstraintVector) -> tuple[dict, int]:
+def _run_converge(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
     rows = convergence_table(
-        cfg.s,
+        inp["s"],
         constraint,
-        cfg.grid,
-        prime_limit=cfg.prime_limit,
-        precision=cfg.precision,
-        threads=cfg.threads,
-        budget=cfg.budget,
+        inp["grid"],
+        prime_limit=inp["prime_limit"],
+        precision=inp["precision"],
+        threads=inp["threads"],
+        budget=inp["budget"],
     )
-    return {"result": {"rows": [asdict(r) for r in rows]}}, 0
+    return {"rows": [asdict(r) for r in rows]}, 0
 
 
-def _run_verify_lemma4(cfg: RunConfig, _: None) -> tuple[dict, int]:
-    cells = 0
-    failed = []
-    for u in range(1, cfg.u_max + 1):
-        for i, lhs, rhs, equal in mobius_ratio_identity(cfg.s, cfg.k, u):
-            cells += 1
-            if not equal:
-                failed.append({"i": i, "u": u, "lhs": lhs, "rhs": rhs})
-    result = {"cells": cells, "failures": len(failed), "failed": failed}
-    return {"result": result}, 1 if failed else 0
+def _run_verify_lemma4(inp: dict, _: None) -> tuple[dict, int]:
+    cells = [
+        (u, *row) for u in range(1, inp["u_max"] + 1)
+        for row in mobius_ratio_identity(inp["s"], inp["k"], u)
+    ]
+    failed = [{"i": i, "u": u, "lhs": lhs, "rhs": rhs} for u, i, lhs, rhs, ok in cells if not ok]
+    return {"cells": len(cells), "failures": len(failed), "failed": failed}, 1 if failed else 0
 
 
-def _run_verify_recursion(cfg: RunConfig, constraint: ConstraintVector) -> tuple[dict, int]:
+def _run_verify_recursion(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
     reports = []
-    failures = 0
-    for n in range(1, cfg.n_max + 1):
-        rep = verify_recursion(cfg.s, constraint, n, threads=cfg.threads, budget=cfg.budget)
-        reports.append(
-            {
-                "n": rep.n,
-                "lhs": rep.lhs,
-                "rhs_reduced": rep.rhs_reduced,
-                "rhs_raw": rep.rhs_raw,
-                "passed": rep.passed,
-            }
-        )
-        if not rep.passed:
-            failures += 1
-    result = {"cells": len(reports), "failures": failures, "reports": reports}
-    return {"result": result}, 1 if failures else 0
+    for n in range(1, inp["n_max"] + 1):
+        try:
+            rep = verify_recursion(
+                inp["s"], constraint, n, threads=inp["threads"], budget=inp["budget"]
+            )
+        except (ArithmeticError, ConstraintError) as exc:
+            # the shift operators disagree: the recursion itself failed
+            raise _VerificationFailure(f"n = {n}: {exc}") from exc
+        reports.append({name: getattr(rep, name) for name in _REPORT})
+    failures = sum(not r["passed"] for r in reports)
+    return {"cells": len(reports), "failures": failures, "reports": reports}, 1 if failures else 0
 
 
-def _run_primes(cfg: RunConfig, _: None) -> tuple[dict, int]:
-    primes = sieve_primes(cfg.limit)
-    return {"result": {"count": len(primes), "primes": primes}}, 0
+def _run_primes(inp: dict, _: None) -> tuple[dict, int]:
+    primes = sieve_primes(inp["limit"])
+    return {"count": len(primes), "primes": primes}, 0
 
 
-_RUNNERS = {
-    "density": _run_density,
-    "count": _run_count,
-    "mc": _run_mc,
-    "converge": _run_converge,
-    "verify-lemma4": _run_verify_lemma4,
-    "verify-recursion": _run_verify_recursion,
-    "primes": _run_primes,
+@dataclass(frozen=True)
+class _Command:
+    """What the CLI needs to know about one command.
+
+    inputs names the recorded inputs in the order the text format prints
+    them; run maps (inputs, constraint) to (result, exit code).  columns is
+    the CSV header: a single row read from the result itself, or one row
+    per item of result[rows] when rows is set.
+    """
+
+    inputs: tuple[str, ...]
+    run: Callable[[dict, ConstraintVector | None], tuple[dict, int]]
+    columns: tuple[str, ...]
+    rows: str | None = None
+
+
+_SHAPE = ("s", "k", "u")
+_DENS = ("prime_limit", "precision")
+_WORK = ("threads", "budget")
+
+_COMMANDS = {
+    "density": _Command((*_SHAPE, *_DENS), _run_density, _ENCLOSURE),
+    "count": _Command((*_SHAPE, "n", "strategy", *_WORK), _run_count, ("n", "count")),
+    "mc": _Command(
+        (*_SHAPE, "range_n", "samples", "seed", "streams"),
+        _run_mc,
+        ("samples", "hits", "estimate", "std_error", "seed", "range_n", "streams"),
+    ),
+    "converge": _Command(
+        (*_SHAPE, *_DENS, *_WORK, "grid"),
+        _run_converge,
+        ("n", "count", "predicted", "abs_error", "normalized_error"),
+        rows="rows",
+    ),
+    "verify-lemma4": _Command(("s", "k", "u_max"), _run_verify_lemma4, ("cells", "failures")),
+    "verify-recursion": _Command(
+        (*_SHAPE, *_WORK, "n_max"),
+        _run_verify_recursion,
+        _REPORT,
+        rows="reports",
+    ),
+    "primes": _Command(("limit",), _run_primes, ("p",), rows="primes"),
 }
 
 
@@ -326,35 +300,20 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _csv_table(doc: dict) -> tuple[list[str], list[list]]:
-    result = doc["result"]
-    command = doc["command"]
-    if command in ("density",):
-        header = ["lower", "upper", "point", "width", "tail_bound", "prime_limit"]
-        return header, [[result[h] for h in header]]
-    if command == "count":
-        return ["n", "count"], [[result["n"], result["count"]]]
-    if command == "mc":
-        header = ["samples", "hits", "estimate", "std_error", "seed", "range_n", "streams"]
-        return header, [[result[h] for h in header]]
-    if command == "converge":
-        header = ["n", "count", "predicted", "abs_error", "normalized_error"]
-        return header, [[row[h] for h in header] for row in result["rows"]]
-    if command == "verify-lemma4":
-        return ["cells", "failures"], [[result["cells"], result["failures"]]]
-    if command == "verify-recursion":
-        header = ["n", "lhs", "rhs_reduced", "rhs_raw", "passed"]
-        return header, [[row[h] for h in header] for row in result["reports"]]
-    if command == "primes":
-        return ["p"], [[p] for p in result["primes"]]
-    raise ValueError(f"no csv layout for command {command!r}")
+def _table(cmd: _Command, result: dict) -> list[list]:
+    if cmd.rows is None:
+        return [[result[c] for c in cmd.columns]]
+    return [
+        [row[c] for c in cmd.columns] if isinstance(row, dict) else [row]
+        for row in result[cmd.rows]
+    ]
 
 
-def _render(doc: dict, fmt: str) -> str:
+def _render(doc: dict, cmd: _Command, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    header, rows = cmd.columns, _table(cmd, doc["result"])
     if fmt == "csv":
-        header, rows = _csv_table(doc)
         buf = StringIO()
         buf.write(",".join(header) + "\n")
         for row in rows:
@@ -364,7 +323,6 @@ def _render(doc: dict, fmt: str) -> str:
     for key, value in doc["inputs"].items():
         lines.append(f"  {key} = {_scalar(value) if not isinstance(value, tuple) else value}")
     lines.append("result:")
-    header, rows = _csv_table(doc)
     if len(rows) == 1:
         for name, value in zip(header, rows[0]):
             lines.append(f"  {name} = {_scalar(value)}")
@@ -372,33 +330,30 @@ def _render(doc: dict, fmt: str) -> str:
         lines.append("  " + "\t".join(header))
         for row in rows:
             lines.append("  " + "\t".join(_scalar(v) for v in row))
-    extra = doc["result"].get("constraint_factors") if isinstance(doc["result"], dict) else None
-    if extra:
-        for item in extra:
-            lines.append(f"  factor[i={item['i']}, u={item['u']}] = {_scalar(item['factor'])}")
+    for item in doc["result"].get("constraint_factors", ()):
+        lines.append(f"  factor[i={item['i']}, u={item['u']}] = {_scalar(item['factor'])}")
     return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     try:
-        cfg, constraint = _config_from_args(args)
-        doc, code = _RUNNERS[cfg.command](cfg, constraint)
-        doc["command"] = cfg.command
-        doc["inputs"] = {
-            key: value
-            for key, value in asdict(cfg).items()
-            if value is not None and key not in ("command", "format", "output")
-        }
-        payload = _render(doc, cfg.format)
+        inputs, constraint = _resolve_inputs(cmd.inputs, args)
+        result, code = cmd.run(inputs, constraint)
+        doc = {"command": args.command, "inputs": inputs, "result": result}
+        payload = _render(doc, cmd, args.format)
     except BudgetError as exc:
         print(f"error[budget]: {exc}", file=sys.stderr)
         return 3
+    except _VerificationFailure as exc:
+        print(f"error[verification]: {exc}", file=sys.stderr)
+        return 1
     except (ConstraintError, ArithmeticError, ValueError, TypeError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
-    if cfg.output:
-        Path(cfg.output).write_bytes(payload.encode("utf-8"))
+    if args.output:
+        Path(args.output).write_bytes(payload.encode("utf-8"))
     else:
         sys.stdout.write(payload)
     return code

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import factorize, sieve_primes
 
@@ -102,6 +102,23 @@ def _check_values(values: Sequence[int]) -> None:
             raise ValueError(f"tuple entries must be positive integers, got {v}")
 
 
+def _within_caps(entries: Iterable[Iterable[int]], caps: dict[int, int], default: int) -> bool:
+    """The one per-prime cap evaluator.
+
+    entries yields the distinct primes of each entry; a prime may
+    divide at most caps.get(p, default) entries.  Stops at the first prime
+    that goes over its cap.
+    """
+    hits: dict[int, int] = {}
+    for primes in entries:
+        for p in primes:
+            c = hits.get(p, 0) + 1
+            if c > caps.get(p, default):
+                return False
+            hits[p] = c
+    return True
+
+
 def is_kwise_coprime(values: Sequence[int], k: int) -> bool:
     """True iff every k entries of `values` have gcd 1.
 
@@ -111,14 +128,7 @@ def is_kwise_coprime(values: Sequence[int], k: int) -> bool:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     _check_values(values)
-    hits: dict[int, int] = {}
-    for v in values:
-        for p in factorize(v).primes():
-            c = hits.get(p, 0) + 1
-            if c >= k:
-                return False
-            hits[p] = c
-    return True
+    return _within_caps((factorize(v).primes() for v in values), {}, k - 1)
 
 
 def is_kwise_coprime_to(values: Sequence[int], k: int, u: int) -> bool:
@@ -131,21 +141,14 @@ def is_kwise_coprime_to(values: Sequence[int], k: int, u: int) -> bool:
     if u < 1:
         raise ValueError(f"modulus must be a positive integer, got {u}")
     _check_values(values)
-    for p in factorize(u).primes():
-        hits = sum(1 for v in values if v % p == 0)
-        if hits >= k:
-            return False
-    return True
+    primes = factorize(u).primes()
+    return _within_caps(([p for p in primes if v % p == 0] for v in values), {}, k - 1)
 
 
 def satisfies_constraint(values: Sequence[int], constraint: ConstraintVector) -> bool:
     """Joint condition: k-wise coprime and i-wise coprime to each u_i."""
-    if not is_kwise_coprime(values, constraint.k):
-        return False
-    return all(
-        is_kwise_coprime_to(values, i, u)
-        for i, u in enumerate(constraint.moduli, start=1)
-    )
+    _check_values(values)
+    return _satisfies_caps(values, constraint.k, constraint.moduli)
 
 
 def _prime_caps(k: int, moduli: tuple[int, ...]) -> dict[int, int]:
@@ -158,19 +161,42 @@ def _prime_caps(k: int, moduli: tuple[int, ...]) -> dict[int, int]:
     caps: dict[int, int] = {}
     for i, u in enumerate(moduli, start=1):
         for p in factorize(u).primes():
-            cap = min(i - 1, caps.get(p, i - 1))
-            caps[p] = cap
+            caps[p] = min(i - 1, caps.get(p, i - 1))
     return {p: min(c, k - 1) for p, c in caps.items()}
 
 
 def _satisfies_caps(values: Sequence[int], k: int, moduli: tuple[int, ...]) -> bool:
     """Per-prime cap check; also valid for relaxed (non-coprime) moduli."""
-    hits: dict[int, int] = {}
-    for v in values:
-        for p in factorize(v).primes():
-            hits[p] = hits.get(p, 0) + 1
-    caps = _prime_caps(k, moduli)
-    return all(c <= caps.get(p, k - 1) for p, c in hits.items())
+    return _within_caps((factorize(v).primes() for v in values), _prime_caps(k, moduli), k - 1)
+
+
+def _spf_primes(v: int, spf: list[int]) -> Iterator[int]:
+    """Distinct primes of v, read off the smallest-prime-factor table.
+
+    Division by the smallest prime factor emits the primes in nondecreasing
+    order, so skipping repeats of the last one leaves each prime once.
+    """
+    last = 0
+    while v > 1:
+        p = spf[v]
+        if p != last:
+            yield p
+            last = p
+        v //= p
+
+
+def _hits_prime_caps(
+    rows: list[list[int]], k: int, caps: dict[int, int], spf: list[int]
+) -> int:
+    """Rows within the caps: the Monte Carlo evaluator for wide tuples.
+
+    Kept beside the cap evaluator so that the sampler calls into this
+    module once per chunk of rows, not once per row; a per-row call across
+    modules would put a trace span on every sample.
+    """
+    return sum(
+        1 for row in rows if _within_caps((_spf_primes(v, spf) for v in row), caps, k - 1)
+    )
 
 
 class _MaskEngine:

@@ -74,6 +74,16 @@ def _validate_order(s: int, k: int) -> None:
         raise ValueError(f"k must be at least 2, got {k}")
 
 
+def _weight(s: int, r: int, p: int) -> int:
+    """W(s, r, p) = sum_{m<r} C(s,m) (p-1)^(r-1-m), the one per-prime weight.
+
+    P[p divides fewer than r of s residues] = (p-1)^(s-r+1) W(s, r, p) / p^s
+    for r <= s; every local factor, constraint factor and Mobius-sum weight
+    in this module is a product or ratio of these.
+    """
+    return sum(comb(s, m) * (p - 1) ** (r - 1 - m) for m in range(r))
+
+
 def local_factor(s: int, k: int, p: int) -> Fraction:
     """Per-prime density factor: P[p divides at most k - 1 of s residues].
 
@@ -86,15 +96,12 @@ def local_factor(s: int, k: int, p: int) -> Fraction:
         raise ValueError(f"p must be prime, got {p}")
     if s < k:
         return Fraction(1)
-    q = Fraction(p - 1, p)
-    tail = sum(comb(s, m) * q ** (k - 1 - m) * Fraction(1, p**m) for m in range(k))
-    return q ** (s - k + 1) * tail
+    return Fraction(*_local_pair(s, k, p))
 
 
 def _local_pair(s: int, k: int, p: int) -> tuple[int, int]:
     """local_factor as an unreduced integer pair, cheap enough for product loops."""
-    weight = sum(comb(s, m) * (p - 1) ** (k - 1 - m) for m in range(k))
-    return ((p - 1) ** (s - k + 1) * weight, p**s)
+    return ((p - 1) ** (s - k + 1) * _weight(s, k, p), p**s)
 
 
 def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
@@ -176,25 +183,10 @@ def kwise_coprime_probability(
 ) -> DensityEnclosure:
     """Enclosure of the limiting probability that s random values are k-wise coprime.
 
-    Exactly 1 when s < k.  Otherwise the Euler product of local_factor over
-    primes up to prime_limit, certified against the omitted tail; raises if
-    the tail bound reaches 1 (prime_limit too small to say anything).
+    limiting_density with the trivial constraint: exactly 1 when s < k,
+    otherwise the certified Euler product of local_factor up to prime_limit.
     """
-    _validate_order(s, k)
-    if precision < 1:
-        raise ValueError(f"precision must be at least 1, got {precision}")
-    tail = tail_fraction(s, k, prime_limit)
-    if tail >= 1:
-        raise ValueError(
-            f"tail bound {tail} is not below 1; raise prime_limit above {prime_limit}"
-        )
-    if s < k:
-        num, den = 1, 1
-    else:
-        pairs = [_local_pair(s, k, p) for p in sieve_primes(prime_limit)]
-        num = _balanced_product([a for a, _ in pairs])
-        den = _balanced_product([b for _, b in pairs])
-    return _enclosure(num, den, tail, prime_limit, precision)
+    return limiting_density(s, ConstraintVector.trivial(k), prime_limit, precision)
 
 
 def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
@@ -212,9 +204,7 @@ def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
         raise ValueError(f"u must be a positive integer, got {u}")
     out = Fraction(1)
     for p in factorize(u).primes():
-        num = sum(comb(s, m) * (p - 1) ** (k - 1 - m) for m in range(i))
-        den = sum(comb(s, m) * (p - 1) ** (k - 1 - m) for m in range(k))
-        out *= Fraction(num, den)
+        out *= Fraction((p - 1) ** (k - i) * _weight(s, i, p), _weight(s, k, p))
     return out
 
 
@@ -222,8 +212,9 @@ def mobius_sum_weight(s: int, i: int, d: int) -> Fraction:
     """Weight d^i * prod_{p|d} sum_{m<=i} C(s,m) (1-1/p)^(i-m) p^-m.
 
     The denominator weight appearing in the Mobius-sum form of the
-    constraint factors; for squarefree d the d^i factor cancels the prime
-    powers and the value is the integer prod_{p|d} sum_m C(s,m)(p-1)^(i-m).
+    constraint factors.  The prime powers cancel, leaving the integer
+    (d / rad d)^i * prod_{p|d} W(s, i + 1, p); for squarefree d that is
+    prod_{p|d} sum_{m<=i} C(s,m)(p-1)^(i-m).
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
@@ -231,11 +222,8 @@ def mobius_sum_weight(s: int, i: int, d: int) -> Fraction:
         raise ValueError(f"i must be at least 1, got {i}")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    out = Fraction(d) ** i
-    for p in factorize(d).primes():
-        q = Fraction(p - 1, p)
-        out *= sum(comb(s, m) * q ** (i - m) * Fraction(1, p**m) for m in range(i + 1))
-    return out
+    f = factorize(d)
+    return Fraction((d // f.radical()) ** i * prod(_weight(s, i + 1, p) for p in f.primes()))
 
 
 def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
@@ -304,12 +292,9 @@ def limiting_density(
         raise ValueError(
             f"tail bound {tail} is not below 1; raise prime_limit above {prime_limit}"
         )
-    if s < k:
-        num, den = 1, 1
-    else:
-        pairs = [_local_pair(s, k, p) for p in sieve_primes(prime_limit)]
-        num = _balanced_product([a for a, _ in pairs])
-        den = _balanced_product([b for _, b in pairs])
+    pairs = [_local_pair(s, k, p) for p in sieve_primes(prime_limit)] if s >= k else []
+    num = _balanced_product([a for a, _ in pairs])
+    den = _balanced_product([b for _, b in pairs])
     factor = Fraction(1)
     for i, u in enumerate(constraint.moduli, start=1):
         factor *= constraint_factor(s, k, i, u)

@@ -13,18 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .arith import sieve_primes
-from .coprime import DEFAULT_BUDGET, ConstraintVector, _prime_caps, count_tuples
+from .coprime import (
+    DEFAULT_BUDGET,
+    ConstraintVector,
+    _hits_prime_caps,
+    _prime_caps,
+    count_tuples,
+)
 from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
     error_log_exponent,
     limiting_density,
 )
+
+# numpy is imported inside the sampling functions: only `mc` needs it, and
+# every other command would otherwise pay for its import at start-up
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CountReport",
@@ -114,6 +123,8 @@ def convergence_table(
 
 def _hits_subset_gcd(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
     """Vectorized evaluation straight from the subset-gcd definition."""
+    import numpy as np
+
     s = rows.shape[1]
     ok = np.ones(len(rows), dtype=bool)
     if s >= k:
@@ -130,38 +141,14 @@ def _hits_subset_gcd(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
 
 
 def _spf_list(limit: int) -> list[int]:
+    import numpy as np
+
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[1] = 1
     for p in sieve_primes(limit):
         seg = spf[p::p]
         seg[seg == 0] = p
     return spf.tolist()
-
-
-def _hits_prime_caps(
-    rows: list[list[int]], k: int, caps: dict[int, int], spf: list[int]
-) -> int:
-    """Per-prime multiplicity evaluation for wide tuples.
-
-    Smallest-prime-factor division emits the primes of each entry in
-    nondecreasing order, so consecutive deduplication yields distinct
-    primes; caps are then checked across the whole row.
-    """
-    default = k - 1
-    hits = 0
-    for row in rows:
-        seen: dict[int, int] = {}
-        for v in row:
-            last = 0
-            while v > 1:
-                p = spf[v]
-                if p != last:
-                    seen[p] = seen.get(p, 0) + 1
-                    last = p
-                v //= p
-        if all(c <= caps.get(p, default) for p, c in seen.items()):
-            hits += 1
-    return hits
 
 
 def monte_carlo(
@@ -188,6 +175,8 @@ def monte_carlo(
         raise ValueError(f"streams must lie in [1, samples], got {streams}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    import numpy as np
+
     k = constraint.k
     vectorized = s <= _VECTOR_MAX_S
     caps = spf = None

@@ -1,11 +1,14 @@
 import json
+import re
+import shutil
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
-from kwise import cli
+from kwise import cli, recursion
 from kwise.recursion import RecursionReport
 
 
@@ -201,16 +204,51 @@ def test_text_format_readable(capsys):
     assert "count = 11" in out
 
 
-def test_module_and_script_entry_points(tmp_path):
+def test_module_and_script_entry_points():
     proc = subprocess.run(
         [sys.executable, "-m", "kwise", "primes", "--limit", "10"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["primes"] == [2, 3, 5, 7]
-    proc = subprocess.run(
-        ["kwise", "count", "--s", "2", "--k", "2", "--n", "4"],
-        capture_output=True, text=True,
+    # the console script exists only once the package is installed; check
+    # what it points at and run that target the way the script would
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^kwise\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert match and match.groups() == ("kwise.cli", "main")
+    module, func = match.groups()
+    target = f"import sys; from {module} import {func}; sys.exit({func}())"
+    commands = [[sys.executable, "-c", target]]
+    if shutil.which("kwise"):
+        commands.append(["kwise"])
+    for command in commands:
+        proc = subprocess.run(
+            [*command, "count", "--s", "2", "--k", "2", "--n", "4"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["count"] == 11
+
+
+def test_disagreeing_shift_operators_exit_as_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(recursion, "tight_part", lambda a, b: 7)
+    code, out, err = run_cli(
+        capsys, "verify-recursion", "--s", "2", "--u", "5,6", "--n-max", "10", "--threads", "1"
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["result"]["count"] == 11
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[verification]:")
+    assert "not integral" in err
+    # a malformed --u is still invalid input
+    code, out, err = run_cli(
+        capsys, "verify-recursion", "--s", "2", "--u", "4,6", "--n-max", "10", "--threads", "1"
+    )
+    assert code == 2 and out == "" and err.startswith("error[validation]:")
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, kwise, kwise.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

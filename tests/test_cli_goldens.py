@@ -13,7 +13,7 @@ import pytest
 
 from kwise import cli
 
-CASES = json.loads((Path(__file__).with_name("cli_goldens.json")).read_text())["cases"]
+CASES = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())["cases"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
@@ -23,3 +23,10 @@ def test_cli_output_matches_golden(case, capsys):
     assert out.err == ""
     assert code == case["exit"]
     assert out.out == case["stdout"]
+
+
+def test_readme_density_example_is_the_real_document():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    case = CASES[0]
+    assert case["argv"][0] == "density"
+    assert f"$ kwise {' '.join(case['argv'])}\n{case['stdout']}```" in readme

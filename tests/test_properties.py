@@ -1,0 +1,91 @@
+"""Property tests of the per-prime weight and the per-prime cap evaluator.
+
+Every route into the one cap evaluator (the predicate, the naive counter and
+the Monte Carlo cap path) is checked against the subset-gcd oracles, and the
+weight-based formulas against their plain Fraction definitions.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kwise.coprime import (
+    ConstraintVector,
+    _prime_caps,
+    count_tuples,
+    satisfies_constraint,
+)
+from kwise.density import local_factor, mobius_sum_weight
+from kwise.stats import _hits_prime_caps, _spf_list
+from oracles import binomial_tail_local_factor, constraint_ok, count_by_enumeration
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+VALUE_MAX = 120
+
+
+@st.composite
+def constraints(draw, max_k=4):
+    """Pairwise-coprime moduli: each small prime goes to at most one modulus."""
+    k = draw(st.integers(2, max_k))
+    moduli = [1] * (k - 1)
+    for p in SMALL_PRIMES:
+        slot = draw(st.integers(-1, k - 2))
+        if slot >= 0:
+            moduli[slot] *= p ** draw(st.integers(1, 2))
+    return ConstraintVector(tuple(moduli))
+
+
+# mostly small entries, so rows of nine still satisfy the caps often
+values = st.one_of(st.sampled_from((1, 2, 3, 5, 6, 7, 10, 13)), st.integers(1, VALUE_MAX))
+
+
+@given(constraints(), st.lists(values, min_size=1, max_size=6))
+def test_predicate_matches_subset_gcd(cv, tup):
+    assert satisfies_constraint(tup, cv) == constraint_ok(tup, cv.k, cv.moduli)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constraints(max_k=3), st.integers(1, 3), st.integers(1, 6))
+def test_naive_count_matches_enumeration(cv, s, n):
+    got = count_tuples(s, cv, n, strategy="naive")
+    assert got == count_by_enumeration(s, cv.k, cv.moduli, n)
+
+
+SPF = _spf_list(VALUE_MAX)
+
+
+@given(constraints(max_k=9), st.lists(st.lists(values, min_size=9, max_size=9), max_size=20))
+def test_monte_carlo_cap_path_matches_subset_gcd(cv, rows):
+    expect = sum(constraint_ok(row, cv.k, cv.moduli) for row in rows)
+    assert _hits_prime_caps(rows, cv.k, _prime_caps(cv.k, cv.moduli), SPF) == expect
+
+
+@given(st.integers(1, 9), st.integers(2, 7), st.sampled_from((2, 3, 5, 7, 11, 101, 7919)))
+def test_local_factor_is_binomial_tail(s, k, p):
+    assert local_factor(s, k, p) == binomial_tail_local_factor(s, k, p)
+
+
+def _mobius_sum_weight_definition(s, i, d):
+    """d^i * prod_{p|d} sum_{m<=i} C(s,m) (1-1/p)^(i-m) p^-m, term by term."""
+    out = Fraction(d) ** i
+    for p in range(2, d + 1):
+        if d % p == 0 and all(p % q for q in range(2, p)):
+            q = Fraction(p - 1, p)
+            out *= sum(comb(s, m) * q ** (i - m) * Fraction(1, p**m) for m in range(i + 1))
+    return out
+
+
+non_squarefree = st.one_of(
+    st.sampled_from((4, 8, 12, 18, 50, 72, 300)),
+    st.builds(lambda a, b: a * b * b, st.integers(1, 30), st.integers(2, 8)),
+)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), non_squarefree)
+def test_mobius_sum_weight_on_non_squarefree(s, i, d):
+    assert mobius_sum_weight(s, i, d) == _mobius_sum_weight_definition(s, i, d)
