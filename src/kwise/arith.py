@@ -1,8 +1,8 @@
 """Prime sieve, factorization and the small multiplicative functions.
 
 Everything here works on plain Python ints so results stay exact no matter
-how large the operands get.  The sieve is cached and grows geometrically,
-so repeated factorization of small numbers never re-sieves.
+how large the operands get.  The sieve is cached and grows geometrically up
+to MAX_SIEVE, so repeated factorization of small numbers never re-sieves.
 """
 
 from __future__ import annotations
@@ -10,10 +10,14 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 __all__ = [
+    "BudgetError",
     "Factorization",
+    "MAX_SIEVE",
+    "check_sieve_limit",
     "co_part",
     "euler_phi",
     "factorize",
@@ -25,6 +29,14 @@ __all__ = [
     "tight_part",
 ]
 
+# the sieve holds a byte per integer and a Python int per prime
+MAX_SIEVE = 10**8
+
+
+class BudgetError(RuntimeError):
+    """Raised when a request would exceed a work or memory budget."""
+
+
 _sieve_lock = threading.Lock()
 _sieved_limit = 0
 _sieved_primes: tuple[int, ...] = ()
@@ -32,20 +44,27 @@ _sieved_primes: tuple[int, ...] = ()
 
 def _grow_sieve(limit: int) -> None:
     global _sieved_limit, _sieved_primes
-    target = max(limit, 2 * _sieved_limit, 1 << 10)
+    target = max(limit, min(2 * _sieved_limit, MAX_SIEVE), 1 << 10)
     flags = bytearray([1]) * (target + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, isqrt(target) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, target + 1, p)))
-    _sieved_primes = tuple(i for i in range(2, target + 1) if flags[i])
+    _sieved_primes = tuple(compress(range(target + 1), flags))
     _sieved_limit = target
+
+
+def check_sieve_limit(limit: int) -> None:
+    """Refuse, before anything is allocated, a sieve or table beyond MAX_SIEVE."""
+    if limit > MAX_SIEVE:
+        raise BudgetError(f"a sieve up to {limit} exceeds the limit of {MAX_SIEVE}")
 
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes p with 2 <= p <= limit, ascending; empty when limit < 2."""
     if limit < 2:
         return []
+    check_sieve_limit(limit)
     if limit > _sieved_limit:
         with _sieve_lock:
             if limit > _sieved_limit:

@@ -7,8 +7,8 @@ enclosure bounds as decimal strings, so identical configurations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 a verification identity failed (including shift
-operators that disagree), 2 invalid input, 3 the requested exact count
-exceeds the enumeration budget.
+operators that disagree), 2 invalid input, 3 the request exceeds a budget
+(an exact count above --budget, or a sieve above arith.MAX_SIEVE).
 """
 
 from __future__ import annotations
@@ -141,13 +141,16 @@ def _resolve_inputs(
             inputs[name] = constraint.k
         elif name == "u":
             inputs[name] = constraint.moduli
-        elif name == "threads":
-            inputs[name] = args.threads or os.cpu_count() or 1
         elif name == "grid":
             inputs[name] = _parse_int_list(args.grid, "--grid")
         else:
             inputs[name] = getattr(args, name)
     return inputs, constraint
+
+
+def _workers(inp: dict) -> int:
+    # resolved here, not recorded: the document must not depend on the machine
+    return inp["threads"] or os.cpu_count() or 1
 
 
 class _VerificationFailure(Exception):
@@ -176,7 +179,7 @@ def _run_count(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
         constraint,
         inp["n"],
         strategy=inp["strategy"],
-        threads=inp["threads"],
+        threads=_workers(inp),
         budget=inp["budget"],
     )
     return {"n": inp["n"], "count": count}, 0
@@ -196,7 +199,7 @@ def _run_converge(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
         inp["grid"],
         prime_limit=inp["prime_limit"],
         precision=inp["precision"],
-        threads=inp["threads"],
+        threads=_workers(inp),
         budget=inp["budget"],
     )
     return {"rows": [asdict(r) for r in rows]}, 0
@@ -212,11 +215,11 @@ def _run_verify_lemma4(inp: dict, _: None) -> tuple[dict, int]:
 
 
 def _run_verify_recursion(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
-    reports = []
+    reports, threads = [], _workers(inp)
     for n in range(1, inp["n_max"] + 1):
         try:
             rep = verify_recursion(
-                inp["s"], constraint, n, threads=inp["threads"], budget=inp["budget"]
+                inp["s"], constraint, n, threads=threads, budget=inp["budget"]
             )
         except (ArithmeticError, ConstraintError) as exc:
             # the shift operators disagree: the recursion itself failed

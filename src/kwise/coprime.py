@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
-from .arith import factorize, sieve_primes
+from .arith import BudgetError, factorize, sieve_primes
 
 __all__ = [
     "BudgetError",
@@ -34,10 +34,6 @@ DEFAULT_BUDGET = 200_000_000
 
 class ConstraintError(ValueError):
     """Raised when a constraint vector is malformed."""
-
-
-class BudgetError(RuntimeError):
-    """Raised when an exact count would exceed the enumeration budget."""
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ true value, and the omitted factors multiply to at least 1 - tail for an
 explicit tail bound, so every result is returned as a certified enclosure
 [lower, upper] plus the truncated-product point value.
 
-All per-prime factors are exact fractions.  The truncated product itself is
-carried as an unreduced integer pair because reducing a product of tens of
-thousands of fractions is quadratically expensive; conversion to decimal
-happens once at the end, separately rounded down and up.
+All per-prime factors are exact fractions.  The truncated product, whose
+exact terms run to megabits, is an outward-rounded fixed-point interval
+[lo, hi] * 2^-F; the printed digits are those both ends round to, which
+are then the exact product's, and F doubles until they agree.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
 
 from .arith import factorize, is_prime, sieve_primes
@@ -120,59 +120,61 @@ def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
     return Fraction(comb(s, k), (k - 1) * prime_limit ** (k - 1))
 
 
-def _balanced_product(xs: list[int]) -> int:
-    """Product with balanced operand sizes; linear chains are quadratic here."""
-    if not xs:
-        return 1
-    while len(xs) > 1:
-        nxt = [xs[i] * xs[i + 1] for i in range(0, len(xs) - 1, 2)]
-        if len(xs) % 2:
-            nxt.append(xs[-1])
-        xs = nxt
-    return xs[0]
-
-
 def _decimal_ratio(num: int, den: int, digits: int, rounding: str) -> Decimal:
-    """num/den as a Decimal with `digits` significant figures, rounded as asked.
+    """num/den to `digits` significant figures, rounded once as asked.
 
-    Huge operands are first truncated to a shared shift with the truncation
-    error pushed in the rounding direction, so FLOOR stays a lower bound and
-    CEILING an upper bound; the guard keeps the relative slack far below one
-    unit in the last requested digit.
+    The result, its exponent included, depends only on the value num/den.
     """
-    if num == 0:
-        return Decimal(0)
-    guard = 128 + 4 * digits
-    t = min(num.bit_length(), den.bit_length()) - guard
-    if t > 0:
-        if rounding == ROUND_FLOOR:
-            num, den = num >> t, (den >> t) + 1
-        elif rounding == ROUND_CEILING:
-            num, den = (num >> t) + 1, max(1, den >> t)
-        else:
-            num, den = num >> t, max(1, den >> t)
     with localcontext() as ctx:
         ctx.prec = digits
         ctx.rounding = rounding
         return Decimal(num) / Decimal(den)
 
 
-def _enclosure(
-    num: int, den: int, tail: Fraction, prime_limit: int, digits: int
-) -> DensityEnclosure:
-    remaining = 1 - tail
-    lower = _decimal_ratio(
-        num * remaining.numerator, den * remaining.denominator, digits, ROUND_FLOOR
+def _decimals(num: int, den: int, tail: Fraction, digits: int) -> tuple[Decimal, ...]:
+    """(lower, upper, point): num/den (1 - tail) rounded down, num/den up and to nearest."""
+    rest = 1 - tail
+    return (
+        _decimal_ratio(num * rest.numerator, den * rest.denominator, digits, ROUND_FLOOR),
+        _decimal_ratio(num, den, digits, ROUND_CEILING),
+        _decimal_ratio(num, den, digits, ROUND_HALF_EVEN),
     )
-    upper = _decimal_ratio(num, den, digits, ROUND_CEILING)
-    point = _decimal_ratio(num, den, digits, ROUND_HALF_EVEN)
-    # the exact truncated product lies in [lower, upper]; keep the rounded
-    # point there too when the interval is only ulps wide
-    point = min(max(point, lower), upper)
-    tail_dec = _decimal_ratio(tail.numerator, tail.denominator, digits, ROUND_CEILING)
-    return DensityEnclosure(
-        lower=lower, upper=upper, point=point, prime_limit=prime_limit, tail_bound=tail_dec
-    )
+
+
+def _interval_enclosure(
+    s: int,
+    k: int,
+    primes: list[int],
+    factor: Fraction,
+    tail: Fraction,
+    digits: int,
+    bits: int | None = None,
+) -> tuple[Decimal, ...]:
+    """_decimals of the truncated product X = factor * prod local_factor(s, k, p).
+
+    Certificate: lo and hi start at 2^bits and take each factor a/b > 0, lo
+    rounded down, hi up; if lo <= X_j 2^bits <= hi, then floor(lo a/b) <=
+    X_j a/b 2^bits <= ceil(hi a/b).  The roundings of _decimals are monotone,
+    so when lo and hi give the same decimals, exponents included, X gives
+    them too.  Factors are at most 1, so each step moves an end at most one
+    unit from X: the default bits leave 32 bits below the last digit for X
+    not far below 1, and a straddled decimal doubles bits.  An output equal
+    to a decimal of `digits` figures (0.64 = (3/4)(8/9)(24/25) at s = k = 2,
+    P = 5) straddles at any width; past 8x the default bits, X is computed exactly.
+    """
+    start = -(-333 * digits // 100) + 32 + len(primes).bit_length()
+    bits = bits or start
+    while bits <= 8 * start:
+        lo = hi = 1 << bits
+        for a, b in chain((_local_pair(s, k, p) for p in primes), [factor.as_integer_ratio()]):
+            lo = lo * a // b
+            hi = -(-hi * a // b)
+        low, high = (_decimals(end, 1 << bits, tail, digits) for end in (lo, hi))
+        if repr(low) == repr(high):
+            return low
+        bits *= 2
+    exact = factor * prod(Fraction(*_local_pair(s, k, p)) for p in primes)
+    return _decimals(exact.numerator, exact.denominator, tail, digits)
 
 
 def kwise_coprime_probability(
@@ -292,14 +294,13 @@ def limiting_density(
         raise ValueError(
             f"tail bound {tail} is not below 1; raise prime_limit above {prime_limit}"
         )
-    pairs = [_local_pair(s, k, p) for p in sieve_primes(prime_limit)] if s >= k else []
-    num = _balanced_product([a for a, _ in pairs])
-    den = _balanced_product([b for _, b in pairs])
+    primes = sieve_primes(prime_limit) if s >= k else []
     factor = Fraction(1)
     for i, u in enumerate(constraint.moduli, start=1):
         factor *= constraint_factor(s, k, i, u)
-    return _enclosure(
-        num * factor.numerator, den * factor.denominator, tail, prime_limit, precision
+    tail_bound = _decimal_ratio(tail.numerator, tail.denominator, precision, ROUND_CEILING)
+    return DensityEnclosure(
+        *_interval_enclosure(s, k, primes, factor, tail, precision), prime_limit, tail_bound
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import sieve_primes
+from .arith import check_sieve_limit, sieve_primes
 from .coprime import (
     DEFAULT_BUDGET,
     ConstraintVector,
@@ -182,6 +182,7 @@ def monte_carlo(
     caps = spf = None
     if not vectorized:
         caps = _prime_caps(k, constraint.moduli)
+        check_sieve_limit(range_n)
         spf = _spf_list(range_n)
     base, extra = divmod(samples, streams)
     hits = 0

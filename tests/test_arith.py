@@ -1,5 +1,6 @@
 import pytest
 
+from kwise import arith
 from kwise.arith import (
     Factorization,
     co_part,
@@ -34,6 +35,16 @@ def test_sieve_prefix_consistency():
     full = sieve_primes(5000)
     assert sieve_primes(100) == [p for p in full if p <= 100]
     assert sieve_primes(4999) == [p for p in full if p <= 4999]
+
+
+def test_sieve_growth_stays_under_the_cap(monkeypatch):
+    # the cache grows geometrically, but never past MAX_SIEVE
+    primes = tuple(sieve_primes(2000))
+    monkeypatch.setattr(arith, "MAX_SIEVE", 3000)
+    monkeypatch.setattr(arith, "_sieved_limit", 2000)
+    monkeypatch.setattr(arith, "_sieved_primes", primes)
+    assert sieve_primes(2500) == [p for p in sieve_primes(3000) if p <= 2500]
+    assert arith._sieved_limit == 3000
 
 
 def test_is_prime():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from kwise import cli, recursion
+from kwise import arith, cli, recursion, stats
+from kwise.arith import MAX_SIEVE
 from kwise.recursion import RecursionReport
 
 
@@ -135,6 +136,45 @@ def test_budget_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error[budget]:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("primes", "--limit", str(MAX_SIEVE + 1)),
+        ("density", "--s", "2", "--k", "2", "--prime-limit", str(MAX_SIEVE + 1)),
+        # a modulus whose square root is just above the cap
+        ("density", "--s", "2", "--u", f"{(MAX_SIEVE + 1) ** 2},1", "--prime-limit", "100"),
+        ("mc", "--s", "10", "--k", "3", "--range", str(MAX_SIEVE + 1), "--samples", "1"),
+    ],
+    ids=["primes", "prime-limit", "modulus", "mc-range"],
+)
+def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
+    grow = arith._grow_sieve
+
+    def capped_grow(limit):
+        assert limit <= MAX_SIEVE, f"sieve of {limit} allocated"
+        grow(limit)
+
+    def no_spf_list(limit):
+        raise AssertionError(f"smallest-prime-factor table of {limit} allocated")
+
+    monkeypatch.setattr(arith, "_grow_sieve", capped_grow)
+    monkeypatch.setattr(stats, "_spf_list", no_spf_list)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error[budget]:")
+
+
+def test_threads_input_does_not_depend_on_the_machine(monkeypatch, capsys):
+    outputs = []
+    for cores in (1, 7):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        code, out, _ = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "100")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["inputs"]["threads"] is None
 
 
 def test_verify_lemma4_passes(capsys):

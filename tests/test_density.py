@@ -8,6 +8,7 @@ from kwise.arith import euler_phi, sieve_primes
 from kwise.coprime import ConstraintVector
 from kwise.density import (
     _decimal_ratio,
+    _interval_enclosure,
     _local_pair,
     constraint_factor,
     constraint_factor_mobius,
@@ -205,7 +206,7 @@ def test_decimal_ratio_directed_rounding():
         (1, 3),
         (2, 7),
         (6087, 10000),
-        (7**500, 11**480),  # big enough to take the truncating path
+        (7**500, 11**480),  # operands of well over a thousand bits
         (3**2000 + 1, 5**1700),
     ]
     for num, den in cases:
@@ -220,6 +221,19 @@ def test_decimal_ratio_directed_rounding():
             ctx.prec = 40
             assert Fraction(hi) - Fraction(lo) <= Fraction(2, 10**28) * exact
     assert _decimal_ratio(0, 5, 10, ROUND_FLOOR) == 0
+
+
+def test_interval_enclosure_compares_exponents():
+    # X = (8/9)(11/26) = 0.376..., X (1 - 1/5) = 0.3008...; at 8 bits the low
+    # end's lower bound is exactly 0.3, equal in value to X's inexact 0.30
+    got = _interval_enclosure(2, 2, [3], Fraction(11, 26), Fraction(1, 5), 2, bits=8)
+    assert [str(d) for d in got] == ["0.30", "0.38", "0.38"]
+
+
+def test_density_on_a_short_decimal_matches_exact_digits():
+    # (3/4)(8/9)(24/25) = 0.64 exactly: the interval ends straddle it at every width
+    enc = kwise_coprime_probability(2, 2, 5)
+    assert (str(enc.lower), str(enc.upper), str(enc.point)) == ("0.512", "0.64", "0.64")
 
 
 def test_probability_enclosure_pairwise():

@@ -1,26 +1,37 @@
-"""Property tests of the per-prime weight and the per-prime cap evaluator.
+"""Property tests of the per-prime weight, the per-prime cap evaluator and
+the interval Euler product.
 
 Every route into the one cap evaluator (the predicate, the naive counter and
-the Monte Carlo cap path) is checked against the subset-gcd oracles, and the
-weight-based formulas against their plain Fraction definitions.
+the Monte Carlo cap path) is checked against the subset-gcd oracles, the
+weight-based formulas against their plain Fraction definitions, and the
+fixed-point interval product against the exact Fraction product.
 """
 
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kwise.arith import sieve_primes
 from kwise.coprime import (
     ConstraintVector,
     _prime_caps,
     count_tuples,
     satisfies_constraint,
 )
-from kwise.density import local_factor, mobius_sum_weight
+from kwise.density import (
+    _interval_enclosure,
+    constraint_factor,
+    limiting_density,
+    local_factor,
+    mobius_sum_weight,
+    tail_fraction,
+)
 from kwise.stats import _hits_prime_caps, _spf_list
 from oracles import binomial_tail_local_factor, constraint_ok, count_by_enumeration
 
@@ -89,3 +100,45 @@ non_squarefree = st.one_of(
 @given(st.integers(1, 6), st.integers(1, 4), non_squarefree)
 def test_mobius_sum_weight_on_non_squarefree(s, i, d):
     assert mobius_sum_weight(s, i, d) == _mobius_sum_weight_definition(s, i, d)
+
+
+def _rounded(value, digits, rounding):
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = rounding
+        return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+@st.composite
+def density_cells(draw):
+    """(s, constraint, prime limit, digits) with k <= s <= 8 and a tail below 1."""
+    s = draw(st.integers(2, 8))
+    cv = draw(st.one_of(st.builds(ConstraintVector.trivial, st.integers(2, s)), constraints(s)))
+    prime_limit = draw(st.integers(2, 3000))
+    assume(tail_fraction(s, cv.k, prime_limit) < 1)
+    return s, cv, prime_limit, draw(st.integers(5, 80))
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_cells())
+def test_interval_product_matches_exact_product(cell):
+    s, cv, prime_limit, digits = cell
+    k = cv.k
+    primes = sieve_primes(prime_limit)
+    factor = prod(
+        (constraint_factor(s, k, i, u) for i, u in enumerate(cv.moduli, start=1)),
+        start=Fraction(1),
+    )
+    product = factor * prod(binomial_tail_local_factor(s, k, p) for p in primes)
+    tail = tail_fraction(s, k, prime_limit)
+    enc = limiting_density(s, cv, prime_limit, digits)
+    assert Fraction(enc.lower) <= product * (1 - tail) and product <= Fraction(enc.upper)
+    expect = (
+        _rounded(product * (1 - tail), digits, ROUND_FLOOR),
+        _rounded(product, digits, ROUND_CEILING),
+        _rounded(product, digits, ROUND_HALF_EVEN),
+    )
+    assert [str(d) for d in (enc.lower, enc.upper, enc.point)] == [str(d) for d in expect]
+    # a start far too narrow for `digits` takes the doubling branch to the same digits
+    narrow = _interval_enclosure(s, k, primes, factor, tail, digits, bits=3)
+    assert [str(d) for d in narrow] == [str(d) for d in expect]
