@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from decimal import Decimal
@@ -63,7 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--u", help="comma-separated moduli u_1,...,u_{k-1}")
 
     work = argparse.ArgumentParser(add_help=False)
-    work.add_argument("--threads", type=int, help="worker processes (default: all cores)")
+    work.add_argument(
+        "--threads", type=int, help="accepted and recorded (>= 1); counting runs serially"
+    )
     work.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max n**s cells")
 
     dens = argparse.ArgumentParser(add_help=False)
@@ -148,9 +149,9 @@ def _resolve_inputs(
     return inputs, constraint
 
 
-def _workers(inp: dict) -> int:
-    # resolved here, not recorded: the document must not depend on the machine
-    return inp["threads"] or os.cpu_count() or 1
+def _threads(inp: dict) -> int:
+    # recorded as given (null when omitted); counting is serial either way
+    return 1 if inp["threads"] is None else inp["threads"]
 
 
 class _VerificationFailure(Exception):
@@ -179,7 +180,7 @@ def _run_count(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
         constraint,
         inp["n"],
         strategy=inp["strategy"],
-        threads=_workers(inp),
+        threads=_threads(inp),
         budget=inp["budget"],
     )
     return {"n": inp["n"], "count": count}, 0
@@ -199,7 +200,7 @@ def _run_converge(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
         inp["grid"],
         prime_limit=inp["prime_limit"],
         precision=inp["precision"],
-        threads=_workers(inp),
+        threads=_threads(inp),
         budget=inp["budget"],
     )
     return {"rows": [asdict(r) for r in rows]}, 0
@@ -215,7 +216,7 @@ def _run_verify_lemma4(inp: dict, _: None) -> tuple[dict, int]:
 
 
 def _run_verify_recursion(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
-    reports, threads = [], _workers(inp)
+    reports, threads = [], _threads(inp)
     for n in range(1, inp["n_max"] + 1):
         try:
             rep = verify_recursion(

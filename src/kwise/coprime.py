@@ -10,10 +10,10 @@ the subset-gcd form is kept to the test suite as an independent oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .arith import BudgetError, factorize, sieve_primes
@@ -166,7 +166,7 @@ def _satisfies_caps(values: Sequence[int], k: int, moduli: tuple[int, ...]) -> b
     return _within_caps((factorize(v).primes() for v in values), _prime_caps(k, moduli), k - 1)
 
 
-def _spf_primes(v: int, spf: list[int]) -> Iterator[int]:
+def _spf_primes(v: int, spf: Sequence[int]) -> Iterator[int]:
     """Distinct primes of v, read off the smallest-prime-factor table.
 
     Division by the smallest prime factor emits the primes in nondecreasing
@@ -182,7 +182,7 @@ def _spf_primes(v: int, spf: list[int]) -> Iterator[int]:
 
 
 def _hits_prime_caps(
-    rows: list[list[int]], k: int, caps: dict[int, int], spf: list[int]
+    rows: list[list[int]], k: int, caps: dict[int, int], spf: Sequence[int]
 ) -> int:
     """Rows within the caps: the Monte Carlo evaluator for wide tuples.
 
@@ -195,99 +195,76 @@ def _hits_prime_caps(
     )
 
 
-class _MaskEngine:
-    """Depth-first exact counter over [1, n]^s under per-prime caps.
+def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
+    """Exact count over [1, n]^s by Mobius expansion over the primes.
 
-    Each branch tracks how often every prime has been used by the fixed
-    coordinates.  Once a prime reaches its cap, all remaining coordinates
-    must avoid its multiples; the union of forbidden values is carried as a
-    bitmask over [1, n] so the innermost coordinate costs one popcount
-    instead of a scan.
+    A prime p with cap c allows at most c entries divisible by it.  Over the
+    coordinates T it divides, that indicator expands into weights h(|T|) with
+    h(0) = 1, h(t) = 0 for 0 < t <= c and h(t) = (-1)^(t-c) C(t-1, c) above,
+    so the count is the sum over per-prime choices of T of
+    prod_p h(|T_p|) * prod_i floor(n / d_i), d_i the product of the primes
+    whose T_p holds i.  Only floor(n / d_i) matters further down, since
+    floor(floor(n / d) / p) = floor(n / dp), so, as in Deleglise and Rivat's
+    blocking of the Mobius summation, a state is the prime to choose next and
+    the sorted values floor(n / d_i) above 1 (a coordinate at 1 can take no
+    prime and multiplies by 1).  The sum is symmetric in the coordinates, so
+    states are memoised and a prime's choices are counts taken from each group
+    of equal values, weighted by binomials.  A prime needs c + 1 coordinates
+    with floor(n / d_i) >= p; past the last capped prime, the first prime
+    short of k of them ends the walk, since larger primes have fewer still.
     """
+    caps = _prime_caps(k, moduli)
+    default = k - 1
+    # a prime on the default cap needs k entries, so below s = k only capped primes count
+    primes = sieve_primes(n) if s >= k else sorted(p for p in caps if p <= n)
+    last = max((p for p in caps if p <= n), default=0)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    choices: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
 
-    def __init__(self, s: int, k: int, moduli: tuple[int, ...], n: int):
-        self.s = s
-        self.n = n
-        caps = _prime_caps(k, moduli)
-        primes = sieve_primes(n)
-        self.allowed = [caps.get(p, k - 1) for p in primes]
-        primes_of: list[tuple[int, ...]] = [()] * (n + 1)
-        lists: list[list[int]] = [[] for _ in range(n + 1)]
-        for idx, p in enumerate(primes):
-            for m in range(p, n + 1, p):
-                lists[m].append(idx)
-        for v in range(1, n + 1):
-            primes_of[v] = tuple(lists[v])
-        self.primes_of = primes_of
-        self._primes = primes
-        self._masks: list[int | None] = [None] * len(primes)
-        exc0 = 0
-        for idx, cap in enumerate(self.allowed):
-            if cap == 0:
-                exc0 |= self._mask(idx)
-        self._exc0 = exc0
+    def picks(sizes: tuple[int, ...], cap: int) -> list[tuple[tuple[int, ...], int]]:
+        # (count taken from each group, weight) for every choice of more than cap coordinates
+        out = choices.get((sizes, cap))
+        if out is None:
+            out = choices[sizes, cap] = [
+                (a, (-1) ** (t - cap) * comb(t - 1, cap) * prod(map(comb, sizes, a)))
+                for a in product(*(range(r + 1) for r in sizes))
+                if (t := sum(a)) > cap
+            ]
+        return out
 
-    def _mask(self, idx: int) -> int:
-        m = self._masks[idx]
-        if m is None:
-            p = self._primes[idx]
-            m = 0
-            for v in range(p, self.n + 1, p):
-                m |= 1 << v
-            self._masks[idx] = m
-        return m
-
-    def count(self, lo: int = 1, hi: int | None = None) -> int:
-        """Tuples whose first coordinate lies in [lo, hi]."""
-        if hi is None:
-            hi = self.n
-        if lo > hi or self.n == 0:
-            return 0
-        counts = [0] * len(self.allowed)
-        return self._dfs(0, self._exc0, counts, lo, hi)
-
-    def _dfs(self, level: int, exc: int, counts: list[int], lo: int, hi: int) -> int:
-        if level == self.s - 1:
-            span = hi - lo + 1
-            blocked = ((exc >> lo) & ((1 << span) - 1)).bit_count()
-            return span - blocked
-        allowed = self.allowed
-        primes_of = self.primes_of
-        total = 0
-        for v in range(lo, hi + 1):
-            pf = primes_of[v]
-            if any(counts[i] == allowed[i] for i in pf):
+    def total(start: int, ms: tuple[int, ...]) -> int:
+        key = (start, ms)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = prod(ms)
+        for j in range(start, len(primes)):
+            p = primes[j]
+            lo = bisect_left(ms, p)
+            cap = caps.get(p, default)
+            if len(ms) - lo <= cap:
+                if lo == len(ms) or p > last:
+                    break
                 continue
-            new_exc = exc
-            for i in pf:
-                c = counts[i] + 1
-                counts[i] = c
-                if c == allowed[i]:
-                    new_exc |= self._mask(i)
-            total += self._dfs(level + 1, new_exc, counts, 1, self.n)
-            for i in pf:
-                counts[i] -= 1
-        return total
+            nxt = primes[j + 1] if j + 1 < len(primes) else n + 1
+            values = sorted(set(ms[lo:]))
+            sizes = tuple(map(ms.count, values))
+            for taken, weight in picks(sizes, cap):
+                child = list(ms[:lo])
+                for v, r, a in zip(values, sizes, taken):
+                    child += [v] * (r - a)
+                    if v // p > 1:
+                        child += [v // p] * a
+                child.sort()
+                # no later prime fits under the largest value: the walk ends here
+                if not child or child[-1] < nxt:
+                    out += weight * prod(child)
+                else:
+                    out += weight * total(j + 1, tuple(child))
+        memo[key] = out
+        return out
 
-
-def _count_single(k: int, moduli: tuple[int, ...], n: int) -> int:
-    """s = 1 count by inclusion-exclusion over the zero-cap primes.
-
-    Only primes capped at zero can forbid a single value, so the count is a
-    Legendre-style sieve over their squarefree products.  Avoids building
-    value tables for the large n that a one-dimensional budget allows.
-    """
-    zero = sorted(p for p, cap in _prime_caps(k, moduli).items() if cap == 0)
-    total = 0
-    for r in range(len(zero) + 1):
-        for sub in combinations(zero, r):
-            total += (-1) ** r * (n // prod(sub))
-    return total
-
-
-def _count_chunk(args: tuple[int, int, tuple[int, ...], int, int, int]) -> int:
-    s, k, moduli, n, lo, hi = args
-    return _MaskEngine(s, k, moduli, n).count(lo, hi)
+    return total(0, (n,) * s if n > 1 else ())
 
 
 def _count_caps(
@@ -322,19 +299,7 @@ def _count_caps(
             for t in product(range(1, n + 1), repeat=s)
             if _satisfies_caps(t, k, moduli)
         )
-    if s == 1:
-        return _count_single(k, moduli, n)
-    if threads > 1 and n >= 64:
-        chunks = min(threads * 4, n)
-        bounds = [1 + (n * i) // chunks for i in range(chunks + 1)]
-        jobs = [
-            (s, k, moduli, n, bounds[i], bounds[i + 1] - 1)
-            for i in range(chunks)
-            if bounds[i] <= bounds[i + 1] - 1
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_count_chunk, jobs))
-    return _MaskEngine(s, k, moduli, n).count()
+    return _count_mobius(s, k, moduli, n)
 
 
 def count_tuples(
@@ -348,12 +313,11 @@ def count_tuples(
 ) -> int:
     """Exact number of tuples in [1, n]^s satisfying the constraint.
 
-    The default "signature" strategy walks the tuple coordinates depth
-    first, tracking per-prime multiplicities; "naive" enumerates every
-    tuple and evaluates the predicate, as a cross-check.  Both refuse to
-    start when n**s exceeds `budget`.  With threads > 1 the signature walk
-    is partitioned over the first coordinate; counts are identical to the
-    serial run.
+    The default "signature" strategy sums the Mobius expansion of the
+    per-prime caps over squarefree divisor vectors (see _count_mobius);
+    "naive" enumerates every tuple and evaluates the predicate, as a
+    cross-check.  Both refuse to start when n**s exceeds `budget`.  Counting
+    is serial: `threads` must be at least 1 and starts no workers.
     """
     if not isinstance(constraint, ConstraintVector):
         raise TypeError(f"constraint must be a ConstraintVector, got {type(constraint).__name__}")

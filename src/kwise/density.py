@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import comb, prod
 
@@ -74,14 +75,23 @@ def _validate_order(s: int, k: int) -> None:
         raise ValueError(f"k must be at least 2, got {k}")
 
 
+@cache
+def _binomials(s: int, r: int) -> tuple[int, ...]:
+    return tuple(comb(s, m) for m in range(r))
+
+
 def _weight(s: int, r: int, p: int) -> int:
     """W(s, r, p) = sum_{m<r} C(s,m) (p-1)^(r-1-m), the one per-prime weight.
 
     P[p divides fewer than r of s residues] = (p-1)^(s-r+1) W(s, r, p) / p^s
     for r <= s; every local factor, constraint factor and Mobius-sum weight
-    in this module is a product or ratio of these.
+    in this module is a product or ratio of these.  Evaluated by Horner's
+    rule in p - 1, with the binomials computed once per (s, r).
     """
-    return sum(comb(s, m) * (p - 1) ** (r - 1 - m) for m in range(r))
+    x, out = p - 1, 0
+    for c in _binomials(s, r):
+        out = out * x + c
+    return out
 
 
 def local_factor(s: int, k: int, p: int) -> Fraction:

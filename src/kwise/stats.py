@@ -140,15 +140,20 @@ def _hits_subset_gcd(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
     return int(ok.sum())
 
 
-def _spf_list(limit: int) -> list[int]:
+def _spf_list(limit: int) -> memoryview:
+    """Smallest prime factor of every v <= limit, indexable like a list of ints.
+
+    Four bytes per entry (limit <= MAX_SIEVE < 2^31), read in place: a Python
+    list of the same table costs several times the memory.
+    """
     import numpy as np
 
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1] = 1
     for p in sieve_primes(limit):
         seg = spf[p::p]
         seg[seg == 0] = p
-    return spf.tolist()
+    return memoryview(spf)
 
 
 def monte_carlo(

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -128,6 +129,9 @@ def test_validation_exit_code_and_message(capsys):
     code, _, err = run_cli(capsys, "count", "--s", "2", "--u", "5;6", "--n", "5")
     assert code == 2 and "comma-separated" in err
 
+    code, _, err = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "5", "--threads", "0")
+    assert code == 2 and "threads must be at least 1" in err
+
 
 def test_budget_exit_code(capsys):
     code, out, err = run_cli(
@@ -169,7 +173,7 @@ def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
 def test_threads_input_does_not_depend_on_the_machine(monkeypatch, capsys):
     outputs = []
     for cores in (1, 7):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         code, out, _ = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "100")
         assert code == 0
         outputs.append(out)
@@ -292,3 +296,13 @@ def test_import_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_process_pools_out():
+    code = (
+        "import sys, kwise.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 from itertools import permutations, product
+from math import comb, factorial
 
 import pytest
 
+from kwise import coprime
 from kwise.coprime import (
     BudgetError,
     ConstraintError,
@@ -175,6 +177,32 @@ def test_single_value_counts():
     assert count_tuples(1, ConstraintVector((6,)), 100) == 33
     assert count_tuples(1, ConstraintVector((1,)), 100) == 100
     assert count_tuples(1, ConstraintVector((2, 3, 5)), 30) == 15
+
+
+def test_wide_tuples_closed_form():
+    # over [1, 2]^s a tuple qualifies when fewer than k entries are 2
+    for k in (2, 3, 5):
+        expect = sum(comb(40, t) for t in range(k))
+        assert count_tuples(40, ConstraintVector.trivial(k), 2, budget=2**40) == expect
+    # over [1, 3]^s: fewer than k entries are 2 and fewer than k are 3
+    s = 30
+    for k in (2, 4):
+        expect = sum(
+            factorial(s) // (factorial(a) * factorial(b) * factorial(s - a - b))
+            for a in range(k)
+            for b in range(k)
+        )
+        assert count_tuples(s, ConstraintVector.trivial(k), 3, budget=3**s) == expect
+
+
+def test_single_value_count_needs_no_sieve(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve up to {limit} built for s = 1")
+
+    monkeypatch.setattr(coprime, "sieve_primes", no_sieve)
+    # values in [1, n] coprime to 6, n = 2 * 10^8
+    n = 2 * 10**8
+    assert count_tuples(1, ConstraintVector((6,)), n) == n - n // 2 - n // 3 + n // 6
 
 
 def test_budget_enforced():

@@ -1,15 +1,16 @@
-"""Property tests of the per-prime weight, the per-prime cap evaluator and
-the interval Euler product.
+"""Property tests of the per-prime weight, the per-prime cap evaluator, the
+counting engine and the interval Euler product.
 
 Every route into the one cap evaluator (the predicate, the naive counter and
 the Monte Carlo cap path) is checked against the subset-gcd oracles, the
+Mobius-expansion counter against enumeration and the naive counter, the
 weight-based formulas against their plain Fraction definitions, and the
 fixed-point interval product against the exact Fraction product.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from kwise.arith import sieve_primes
 from kwise.coprime import (
     ConstraintVector,
+    _count_caps,
     _prime_caps,
     count_tuples,
     satisfies_constraint,
@@ -32,6 +34,7 @@ from kwise.density import (
     mobius_sum_weight,
     tail_fraction,
 )
+from kwise.recursion import reduce_constraint_raw
 from kwise.stats import _hits_prime_caps, _spf_list
 from oracles import binomial_tail_local_factor, constraint_ok, count_by_enumeration
 
@@ -65,6 +68,25 @@ def test_predicate_matches_subset_gcd(cv, tup):
 def test_naive_count_matches_enumeration(cv, s, n):
     got = count_tuples(s, cv, n, strategy="naive")
     assert got == count_by_enumeration(s, cv.k, cv.moduli, n)
+
+
+# widest n per s that keeps enumerating [1, n]^s quick
+ENGINE_N_MAX = {1: 300, 2: 40, 3: 12, 4: 7}
+
+
+@settings(max_examples=60, deadline=None)
+@given(constraints(max_k=5), st.integers(1, 4), st.data())
+def test_engine_matches_enumeration_and_naive(cv, s, data):
+    """The Mobius-expansion counter, on a constraint or on its raw shift by j."""
+    n = data.draw(st.integers(0, ENGINE_N_MAX[s]), label="n")
+    j = data.draw(st.integers(0, 40), label="j (0: no shift)")
+    moduli = cv.moduli
+    if j:
+        assume(gcd(j, moduli[0]) == 1)
+        moduli = reduce_constraint_raw(j, cv).moduli
+    got = _count_caps(s, cv.k, moduli, n)
+    assert got == count_by_enumeration(s, cv.k, moduli, n)
+    assert got == _count_caps(s, cv.k, moduli, n, strategy="naive")
 
 
 SPF = _spf_list(VALUE_MAX)
