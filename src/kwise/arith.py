@@ -17,7 +17,6 @@ __all__ = [
     "BudgetError",
     "Factorization",
     "MAX_SIEVE",
-    "check_sieve_limit",
     "co_part",
     "euler_phi",
     "factorize",
@@ -54,17 +53,15 @@ def _grow_sieve(limit: int) -> None:
     _sieved_limit = target
 
 
-def check_sieve_limit(limit: int) -> None:
-    """Refuse, before anything is allocated, a sieve or table beyond MAX_SIEVE."""
-    if limit > MAX_SIEVE:
-        raise BudgetError(f"a sieve up to {limit} exceeds the limit of {MAX_SIEVE}")
-
-
 def sieve_primes(limit: int) -> list[int]:
-    """All primes p with 2 <= p <= limit, ascending; empty when limit < 2."""
+    """All primes p with 2 <= p <= limit, ascending; empty when limit < 2.
+
+    A limit above MAX_SIEVE is refused before anything is allocated.
+    """
     if limit < 2:
         return []
-    check_sieve_limit(limit)
+    if limit > MAX_SIEVE:
+        raise BudgetError(f"a sieve up to {limit} exceeds the limit of {MAX_SIEVE}")
     if limit > _sieved_limit:
         with _sieve_lock:
             if limit > _sieved_limit:

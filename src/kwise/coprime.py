@@ -5,7 +5,8 @@ share no common factor.  That is equivalent to a per-prime rule: no prime
 may divide k or more of the entries.  The same reshaping turns "every k
 entries have gcd coprime to u" into "each prime dividing u divides fewer
 than k entries".  All counting in this module runs on the per-prime form;
-the subset-gcd form is kept to the test suite as an independent oracle.
+the Monte Carlo sampler in stats checks a gcd form instead, and the
+subset-gcd form is kept to the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .arith import BudgetError, factorize, sieve_primes
 
@@ -99,11 +100,12 @@ def _check_values(values: Sequence[int]) -> None:
 
 
 def _within_caps(entries: Iterable[Iterable[int]], caps: dict[int, int], default: int) -> bool:
-    """The one per-prime cap evaluator.
+    """The one per-prime cap evaluator, behind the predicates and the naive count.
 
     entries yields the distinct primes of each entry; a prime may
     divide at most caps.get(p, default) entries.  Stops at the first prime
-    that goes over its cap.
+    that goes over its cap.  The Monte Carlo sampler does not come here: it
+    decides rows from gcds alone, as an independent route.
     """
     hits: dict[int, int] = {}
     for primes in entries:
@@ -164,35 +166,6 @@ def _prime_caps(k: int, moduli: tuple[int, ...]) -> dict[int, int]:
 def _satisfies_caps(values: Sequence[int], k: int, moduli: tuple[int, ...]) -> bool:
     """Per-prime cap check; also valid for relaxed (non-coprime) moduli."""
     return _within_caps((factorize(v).primes() for v in values), _prime_caps(k, moduli), k - 1)
-
-
-def _spf_primes(v: int, spf: Sequence[int]) -> Iterator[int]:
-    """Distinct primes of v, read off the smallest-prime-factor table.
-
-    Division by the smallest prime factor emits the primes in nondecreasing
-    order, so skipping repeats of the last one leaves each prime once.
-    """
-    last = 0
-    while v > 1:
-        p = spf[v]
-        if p != last:
-            yield p
-            last = p
-        v //= p
-
-
-def _hits_prime_caps(
-    rows: list[list[int]], k: int, caps: dict[int, int], spf: Sequence[int]
-) -> int:
-    """Rows within the caps: the Monte Carlo evaluator for wide tuples.
-
-    Kept beside the cap evaluator so that the sampler calls into this
-    module once per chunk of rows, not once per row; a per-row call across
-    modules would put a trace span on every sample.
-    """
-    return sum(
-        1 for row in rows if _within_caps((_spf_primes(v, spf) for v in row), caps, k - 1)
-    )
 
 
 def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:

@@ -3,26 +3,18 @@
 The exact counts converge to density * n^s with an error of order
 n^(s-1) * log(n)^d for a small exponent d; convergence_table reports the
 raw and normalized errors over an n-grid so that trend is visible.  The
-Monte Carlo estimator samples uniform tuples from a finite box and checks
-the subset-gcd form of the constraint directly, which makes it an
-independent statistical cross-check of the exact machinery.
+Monte Carlo estimator samples uniform tuples from a finite box and decides
+each one from gcds alone, for every s, with no factorization or table, which
+makes it an independent statistical cross-check of the exact machinery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import check_sieve_limit, sieve_primes
-from .coprime import (
-    DEFAULT_BUDGET,
-    ConstraintVector,
-    _hits_prime_caps,
-    _prime_caps,
-    count_tuples,
-)
+from .coprime import DEFAULT_BUDGET, ConstraintVector, count_tuples
 from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
@@ -41,9 +33,6 @@ __all__ = [
     "convergence_table",
     "monte_carlo",
 ]
-
-# largest s for which the per-chunk subset enumeration stays small
-_VECTOR_MAX_S = 8
 
 _CHUNK_ROWS = 1 << 16
 
@@ -121,39 +110,46 @@ def convergence_table(
     return out
 
 
-def _hits_subset_gcd(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
-    """Vectorized evaluation straight from the subset-gcd definition."""
-    import numpy as np
+def _no_prime_on(cols: np.ndarray, r: int) -> np.ndarray:
+    """Rows in which no prime divides r or more of the columns.
 
-    s = rows.shape[1]
-    ok = np.ones(len(rows), dtype=bool)
-    if s >= k:
-        for sub in combinations(range(s), k):
-            g = np.gcd.reduce(rows[:, sub], axis=1)
-            ok &= g == 1
-    for i, u in enumerate(moduli, start=1):
-        if u == 1 or i > s:
-            continue
-        for sub in combinations(range(s), i):
-            g = np.gcd.reduce(rows[:, sub], axis=1)
-            ok &= np.gcd(g, u) == 1
-    return int(ok.sum())
-
-
-def _spf_list(limit: int) -> memoryview:
-    """Smallest prime factor of every v <= limit, indexable like a list of ints.
-
-    Four bytes per entry (limit <= MAX_SIEVE < 2^31), read in place: a Python
-    list of the same table costs several times the memory.
+    Walking the columns, shared[j] is the part of column m whose primes
+    divide at least j of the earlier columns: gcd intersects prime supports
+    and lcm unites them, so an earlier column y lifts gcd(shared[j-1], y)
+    into shared[j], with j taken downwards so that y counts once.  A prime
+    on r columns shows up in shared[r-1] at the last of them.  Every value
+    divides an entry of the row, so int64 stays exact.
     """
     import numpy as np
 
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[1] = 1
-    for p in sieve_primes(limit):
-        seg = spf[p::p]
-        seg[seg == 0] = p
-    return memoryview(spf)
+    ok = np.ones(len(cols), dtype=bool)
+    for m in range(r - 1, cols.shape[1]):
+        shared = [cols[:, m]] + [1] * (r - 1)
+        for i in range(m):
+            for j in range(r - 1, 0, -1):
+                shared[j] = np.lcm(shared[j], np.gcd(shared[j - 1], cols[:, i]))
+        ok &= shared[-1] == 1
+    return ok
+
+
+def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
+    """Rows satisfying the constraint, decided from gcds alone.
+
+    Order k on the entries, and order i on gcd(x, u_i) for each u_i != 1.
+    """
+    import numpy as np
+
+    ok = _no_prime_on(rows, k)
+    for i, u in enumerate(moduli, start=1):
+        if u == 1:
+            continue
+        if u < 2**63:
+            cols = np.gcd(rows, u)
+        else:
+            # exact Python-int gcds; each divides its entry, so it fits int64 again
+            cols = np.gcd(rows.astype(object), u).astype(np.int64)
+        ok &= _no_prime_on(cols, i)
+    return int(ok.sum())
 
 
 def monte_carlo(
@@ -182,13 +178,6 @@ def monte_carlo(
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     import numpy as np
 
-    k = constraint.k
-    vectorized = s <= _VECTOR_MAX_S
-    caps = spf = None
-    if not vectorized:
-        caps = _prime_caps(k, constraint.moduli)
-        check_sieve_limit(range_n)
-        spf = _spf_list(range_n)
     base, extra = divmod(samples, streams)
     hits = 0
     for m in range(streams):
@@ -197,10 +186,7 @@ def monte_carlo(
         while remaining:
             take = min(_CHUNK_ROWS, remaining)
             rows = rng.integers(1, range_n, size=(take, s), dtype=np.int64, endpoint=True)
-            if vectorized:
-                hits += _hits_subset_gcd(rows, k, constraint.moduli)
-            else:
-                hits += _hits_prime_caps(rows.tolist(), k, caps, spf)
+            hits += _hits(rows, constraint.k, constraint.moduli)
             remaining -= take
     estimate = hits / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kwise import arith, cli, recursion, stats
+from kwise import arith, cli, recursion
 from kwise.arith import MAX_SIEVE
 from kwise.recursion import RecursionReport
 
@@ -149,9 +149,8 @@ def test_budget_exit_code(capsys):
         ("density", "--s", "2", "--k", "2", "--prime-limit", str(MAX_SIEVE + 1)),
         # a modulus whose square root is just above the cap
         ("density", "--s", "2", "--u", f"{(MAX_SIEVE + 1) ** 2},1", "--prime-limit", "100"),
-        ("mc", "--s", "10", "--k", "3", "--range", str(MAX_SIEVE + 1), "--samples", "1"),
     ],
-    ids=["primes", "prime-limit", "modulus", "mc-range"],
+    ids=["primes", "prime-limit", "modulus"],
 )
 def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
     grow = arith._grow_sieve
@@ -160,14 +159,23 @@ def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
         assert limit <= MAX_SIEVE, f"sieve of {limit} allocated"
         grow(limit)
 
-    def no_spf_list(limit):
-        raise AssertionError(f"smallest-prime-factor table of {limit} allocated")
-
     monkeypatch.setattr(arith, "_grow_sieve", capped_grow)
-    monkeypatch.setattr(stats, "_spf_list", no_spf_list)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error[budget]:")
+
+
+def test_mc_wide_tuple_on_a_huge_range_builds_no_sieve(monkeypatch, capsys):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} allocated")
+
+    monkeypatch.setattr(arith, "_grow_sieve", no_sieve)
+    code, out, _ = run_cli(
+        capsys, "mc", "--s", "10", "--k", "3", "--range", str(10**12), "--samples", "2000"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["range_n"] == 10**12 and result["samples"] == 2000
 
 
 def test_threads_input_does_not_depend_on_the_machine(monkeypatch, capsys):

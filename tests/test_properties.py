@@ -1,17 +1,19 @@
 """Property tests of the per-prime weight, the per-prime cap evaluator, the
-counting engine and the interval Euler product.
+counting engine, the Monte Carlo evaluator and the interval Euler product.
 
-Every route into the one cap evaluator (the predicate, the naive counter and
-the Monte Carlo cap path) is checked against the subset-gcd oracles, the
-Mobius-expansion counter against enumeration and the naive counter, the
-weight-based formulas against their plain Fraction definitions, and the
-fixed-point interval product against the exact Fraction product.
+Both routes into the one cap evaluator (the predicate and the naive counter)
+and the sampler's gcd evaluator are checked against the subset-gcd oracles,
+the Mobius-expansion counter against enumeration and the naive counter and
+across the reduced and raw constraint shifts, the weight-based formulas
+against their plain Fraction definitions, and the fixed-point interval
+product against the exact Fraction product and across prime limits.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, prod
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -19,13 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kwise.arith import sieve_primes
-from kwise.coprime import (
-    ConstraintVector,
-    _count_caps,
-    _prime_caps,
-    count_tuples,
-    satisfies_constraint,
-)
+from kwise.coprime import ConstraintVector, _count_caps, count_tuples, satisfies_constraint
 from kwise.density import (
     _interval_enclosure,
     constraint_factor,
@@ -34,8 +30,8 @@ from kwise.density import (
     mobius_sum_weight,
     tail_fraction,
 )
-from kwise.recursion import reduce_constraint_raw
-from kwise.stats import _hits_prime_caps, _spf_list
+from kwise.recursion import reduce_constraint, reduce_constraint_raw
+from kwise.stats import _hits
 from oracles import binomial_tail_local_factor, constraint_ok, count_by_enumeration
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -89,13 +85,38 @@ def test_engine_matches_enumeration_and_naive(cv, s, data):
     assert got == _count_caps(s, cv.k, moduli, n, strategy="naive")
 
 
-SPF = _spf_list(VALUE_MAX)
+@settings(max_examples=60, deadline=None)
+@given(constraints(max_k=5), st.integers(1, 3), st.data())
+def test_reduced_shift_counts_like_raw_shift(cv, s, data):
+    n = data.draw(st.integers(0, ENGINE_N_MAX[s]), label="n")
+    j = data.draw(st.integers(1, 200), label="j")
+    assume(gcd(j, cv.moduli[0]) == 1)
+    raw = reduce_constraint_raw(j, cv).moduli
+    assert count_tuples(s, reduce_constraint(j, cv), n) == _count_caps(s, cv.k, raw, n)
 
 
-@given(constraints(max_k=9), st.lists(st.lists(values, min_size=9, max_size=9), max_size=20))
-def test_monte_carlo_cap_path_matches_subset_gcd(cv, rows):
+# entries near 2^62 sharing 2, 3, 5, 7 or the prime 2^31 - 1
+Q = 2**31 - 1
+BIG = (2**62, 2**62 - 1, Q * Q, 6 * Q, 10 * Q, 2**62 // 15 * 15, 2**62 // 7 * 7)
+
+
+@st.composite
+def sample_rows(draw):
+    s = draw(st.integers(1, 12))
+    entry = st.one_of(values, st.sampled_from(BIG))
+    return draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=1, max_size=12))
+
+
+@settings(deadline=None)
+@given(constraints(max_k=9), sample_rows())
+def test_monte_carlo_evaluator_matches_subset_gcd(cv, rows):
     expect = sum(constraint_ok(row, cv.k, cv.moduli) for row in rows)
-    assert _hits_prime_caps(rows, cv.k, _prime_caps(cv.k, cv.moduli), SPF) == expect
+    assert _hits(np.array(rows, dtype=np.int64), cv.k, cv.moduli) == expect
+    # factorizing entries near 2^62 would need a sieve past MAX_SIEVE
+    small = [row for row in rows if max(row) <= VALUE_MAX]
+    if small:
+        expect = sum(satisfies_constraint(row, cv) for row in small)
+        assert _hits(np.array(small, dtype=np.int64), cv.k, cv.moduli) == expect
 
 
 @given(st.integers(1, 9), st.integers(2, 7), st.sampled_from((2, 3, 5, 7, 11, 101, 7919)))
@@ -164,3 +185,13 @@ def test_interval_product_matches_exact_product(cell):
     # a start far too narrow for `digits` takes the doubling branch to the same digits
     narrow = _interval_enclosure(s, k, primes, factor, tail, digits, bits=3)
     assert [str(d) for d in narrow] == [str(d) for d in expect]
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_cells(), st.integers(1, 3000))
+def test_enclosures_nest_as_the_prime_limit_grows(cell, step):
+    """The primes in (P1, P2] and tail(P2) together stay within tail(P1)."""
+    s, cv, p1, digits = cell
+    wide = limiting_density(s, cv, p1, digits)
+    narrow = limiting_density(s, cv, p1 + step, digits)
+    assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper

@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kwise.coprime import ConstraintVector, count_tuples, satisfies_constraint
+from kwise.coprime import ConstraintVector, count_tuples
 from kwise.density import kwise_coprime_probability, limiting_density
 from kwise.stats import (
     CountReport,
     MonteCarloEstimate,
-    _hits_prime_caps,
-    _hits_subset_gcd,
-    _spf_list,
+    _hits,
     convergence_table,
     monte_carlo,
 )
-from kwise.coprime import _prime_caps
 from oracles import constraint_ok
 
 
@@ -116,29 +113,25 @@ def test_monte_carlo_tracks_density():
     assert abs(odd.estimate - 0.5) <= 5 * odd.std_error
 
 
-def test_monte_carlo_wide_tuple_uses_cap_path():
+def test_monte_carlo_wide_odd_pairwise_coprime_tuple_is_rare():
     est = monte_carlo(9, ConstraintVector((2,)), 500, 4000, seed=11)
     assert 0 <= est.estimate < 0.2
 
 
-def test_subset_gcd_evaluator_matches_oracle():
-    rng = np.random.Generator(np.random.PCG64(99))
-    for moduli in [(1,), (2,), (5, 6), (2, 3)]:
-        c = ConstraintVector(moduli)
-        rows = rng.integers(1, 60, size=(300, 3), dtype=np.int64, endpoint=True)
-        expect = sum(constraint_ok(tuple(int(v) for v in row), c.k, moduli) for row in rows)
-        assert _hits_subset_gcd(rows, c.k, moduli) == expect
+def test_monte_carlo_modulus_beyond_int64():
+    # 2^65 + 1 = 3 * 11 * 131 * 2731 * 409891 * 7623851 does not fit in int64
+    u = 2**65 + 1
+    # the rows monte_carlo draws for one stream
+    rng = np.random.Generator(np.random.PCG64(4))
+    rows = rng.integers(1, 1000, size=(500, 2), dtype=np.int64, endpoint=True)
 
+    def oracle(k, moduli):
+        return sum(constraint_ok(tuple(map(int, row)), k, moduli) for row in rows)
 
-def test_prime_cap_evaluator_matches_predicate():
-    rng = np.random.Generator(np.random.PCG64(17))
-    spf = _spf_list(80)
-    for moduli in [(1,), (6,), (4, 9)]:
-        c = ConstraintVector(moduli)
-        caps = _prime_caps(c.k, moduli)
-        rows = rng.integers(1, 80, size=(400, 4), dtype=np.int64, endpoint=True).tolist()
-        expect = sum(satisfies_constraint(row, c) for row in rows)
-        assert _hits_prime_caps(rows, c.k, caps, spf) == expect
+    est = monte_carlo(2, ConstraintVector((u,)), 1000, 500, seed=4)
+    assert est.hits == oracle(2, (u,))
+    assert 0 < est.hits < 500
+    assert _hits(rows, 3, (1, u)) == oracle(3, (1, u))
 
 
 def test_monte_carlo_validation():
