@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -106,8 +107,14 @@ class Factorization:
         return out
 
 
+# typed, so that 12.0 still fails in isqrt instead of hitting the entry for 12
+@lru_cache(maxsize=1 << 14, typed=True)
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division."""
+    """Factor a positive integer by trial division.
+
+    Cached, since the verify commands factor the same moduli thousands of
+    times; a refusal (a sieve past MAX_SIEVE) raises and is not cached.
+    """
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
     entries = []

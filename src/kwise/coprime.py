@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd, prod
 from typing import Iterable, Sequence
@@ -168,6 +169,20 @@ def _satisfies_caps(values: Sequence[int], k: int, moduli: tuple[int, ...]) -> b
     return _within_caps((factorize(v).primes() for v in values), _prime_caps(k, moduli), k - 1)
 
 
+@lru_cache(maxsize=1 << 12)
+def _picks(sizes: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(count taken from each group, weight) for every choice of more than cap coordinates.
+
+    The weight is h(t) = (-1)^(t-cap) C(t-1, cap) for t coordinates in all,
+    times the ways to take them from groups of sizes[g] equal coordinates.
+    """
+    return tuple(
+        (a, (-1) ** (t - cap) * comb(t - 1, cap) * prod(map(comb, sizes, a)))
+        for a in product(*(range(r + 1) for r in sizes))
+        if (t := sum(a)) > cap
+    )
+
+
 def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
     """Exact count over [1, n]^s by Mobius expansion over the primes.
 
@@ -182,9 +197,10 @@ def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
     the sorted values floor(n / d_i) above 1 (a coordinate at 1 can take no
     prime and multiplies by 1).  The sum is symmetric in the coordinates, so
     states are memoised and a prime's choices are counts taken from each group
-    of equal values, weighted by binomials.  A prime needs c + 1 coordinates
-    with floor(n / d_i) >= p; past the last capped prime, the first prime
-    short of k of them ends the walk, since larger primes have fewer still.
+    of equal values, weighted by binomials (_picks, shared by every call).
+    A prime needs c + 1 coordinates with floor(n / d_i) >= p; past the last
+    capped prime, the first prime short of k of them ends the walk, since
+    larger primes have fewer still.  The moduli matter only through their caps.
     """
     caps = _prime_caps(k, moduli)
     default = k - 1
@@ -192,18 +208,6 @@ def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
     primes = sieve_primes(n) if s >= k else sorted(p for p in caps if p <= n)
     last = max((p for p in caps if p <= n), default=0)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    choices: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
-
-    def picks(sizes: tuple[int, ...], cap: int) -> list[tuple[tuple[int, ...], int]]:
-        # (count taken from each group, weight) for every choice of more than cap coordinates
-        out = choices.get((sizes, cap))
-        if out is None:
-            out = choices[sizes, cap] = [
-                (a, (-1) ** (t - cap) * comb(t - 1, cap) * prod(map(comb, sizes, a)))
-                for a in product(*(range(r + 1) for r in sizes))
-                if (t := sum(a)) > cap
-            ]
-        return out
 
     def total(start: int, ms: tuple[int, ...]) -> int:
         key = (start, ms)
@@ -222,7 +226,7 @@ def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
             nxt = primes[j + 1] if j + 1 < len(primes) else n + 1
             values = sorted(set(ms[lo:]))
             sizes = tuple(map(ms.count, values))
-            for taken, weight in picks(sizes, cap):
+            for taken, weight in _picks(sizes, cap):
                 child = list(ms[:lo])
                 for v, r, a in zip(values, sizes, taken):
                     child += [v] * (r - a)

@@ -214,10 +214,11 @@ def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
         raise ValueError(f"i must lie in [1, k-1] = [1, {k - 1}], got {i}")
     if u < 1:
         raise ValueError(f"u must be a positive integer, got {u}")
-    out = Fraction(1)
+    num = den = 1
     for p in factorize(u).primes():
-        out *= Fraction((p - 1) ** (k - i) * _weight(s, i, p), _weight(s, k, p))
-    return out
+        num *= (p - 1) ** (k - i) * _weight(s, i, p)
+        den *= _weight(s, k, p)
+    return Fraction(num, den)
 
 
 def mobius_sum_weight(s: int, i: int, d: int) -> Fraction:
@@ -242,7 +243,9 @@ def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
     """Mobius-sum route to the constraint factors.
 
     Evaluates sum over squarefree divisors d of u of
-    mu(d) C(s,i)^omega(d) / mobius_sum_weight(s, i, d).  Equals
+    mu(d) C(s,i)^omega(d) / mobius_sum_weight(s, i, d), in integers over the
+    common denominator mobius_sum_weight(s, i, rad u), which every term's
+    weight divides (the weights are products over the primes of d).  Equals
     constraint_factor(s,k,i,u) / constraint_factor(s,k,i+1,u) for i < k - 1
     and constraint_factor(s,k,k-1,u) at i = k - 1; mobius_ratio_identity
     checks that equality case by case.
@@ -253,12 +256,17 @@ def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
     if u < 1:
         raise ValueError(f"u must be a positive integer, got {u}")
     primes = factorize(u).primes()
-    total = Fraction(0)
+    den = mobius_sum_weight(s, i, prod(primes)).numerator
+    c = comb(s, i)
+    total = 0
     for r in range(len(primes) + 1):
         for sub in combinations(primes, r):
             d = prod(sub)
-            total += Fraction((-1) ** r * comb(s, i) ** r) / mobius_sum_weight(s, i, d)
-    return total
+            share, rest = divmod(den, mobius_sum_weight(s, i, d).numerator)
+            if rest:
+                raise ArithmeticError(f"the weight of d = {d} does not divide that of rad u")
+            total += (-c) ** r * share
+    return Fraction(total, den)
 
 
 def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, Fraction, bool]]:
@@ -266,15 +274,14 @@ def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, F
 
     Returns (i, mobius-sum value, factor-ratio value, equal) for each i in
     1..k-1.  Exact rational comparison; any inequality is a real defect in
-    one of the two routes, never a rounding artifact.
+    one of the two routes, never a rounding artifact.  Each constraint
+    factor is computed once and serves both ratios it appears in.
     """
+    factors = [constraint_factor(s, k, i, u) for i in range(1, k)] + [Fraction(1)]
     out = []
     for i in range(1, k):
         lhs = constraint_factor_mobius(s, k, i, u)
-        if i <= k - 2:
-            rhs = constraint_factor(s, k, i, u) / constraint_factor(s, k, i + 1, u)
-        else:
-            rhs = constraint_factor(s, k, k - 1, u)
+        rhs = factors[i - 1] / factors[i]
         out.append((i, lhs, rhs, lhs == rhs))
     return out
 

@@ -19,6 +19,7 @@ from .coprime import (
     ConstraintError,
     ConstraintVector,
     _count_caps,
+    _prime_caps,
     _RelaxedModuli,
     count_tuples,
 )
@@ -135,6 +136,14 @@ def verify_recursion(
     Sums over the last coordinate j in [1, n]; values of j sharing a factor
     with u_1 contribute nothing (the pair j, u_1 alone would violate the
     constraint) and are skipped.  Exact integer comparison throughout.
+
+    The s-tuple counts are shared: the counting engine sees the moduli only
+    through their per-prime caps (_prime_caps), so each distinct cap map is
+    counted once per call, whichever shift or j produced it.  The reduced
+    and the raw shift of one j are looked up separately, and counted
+    separately when their maps differ.  When the maps agree, a second count
+    would run the same deterministic engine on identical caps and could not
+    disagree with the first, so sharing it gives up no check.
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
@@ -142,16 +151,23 @@ def verify_recursion(
         raise ValueError(f"n must be nonnegative, got {n}")
     k = constraint.k
     lhs = count_tuples(s + 1, constraint, n, threads=threads, budget=budget)
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
+
+    def shifted_count(moduli: tuple[int, ...]) -> int:
+        key = tuple(sorted(_prime_caps(k, moduli).items()))
+        out = counts.get(key)
+        if out is None:
+            out = counts[key] = _count_caps(s, k, moduli, n, budget=budget)
+        return out
+
     rhs_reduced = 0
     rhs_raw = 0
     u1 = constraint.moduli[0]
     for j in range(1, n + 1):
         if gcd(j, u1) != 1:
             continue
-        reduced = reduce_constraint(j, constraint)
-        raw = reduce_constraint_raw(j, constraint)
-        rhs_reduced += count_tuples(s, reduced, n, budget=budget)
-        rhs_raw += _count_caps(s, k, raw.moduli, n, budget=budget)
+        rhs_reduced += shifted_count(reduce_constraint(j, constraint).moduli)
+        rhs_raw += shifted_count(reduce_constraint_raw(j, constraint).moduli)
     return RecursionReport(
         s=s,
         k=k,

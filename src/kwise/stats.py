@@ -168,8 +168,8 @@ def monte_carlo(
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
-    if range_n < 1:
-        raise ValueError(f"range_n must be a positive integer, got {range_n}")
+    if not 1 <= range_n < 2**63:
+        raise ValueError(f"range_n must lie in [1, 2^63 - 1] (int64 draws), got {range_n}")
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
     if streams < 1 or streams > samples:

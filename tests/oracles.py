@@ -120,3 +120,38 @@ def binomial_tail_local_factor(s, k, p):
     """P[Binomial(s, 1/p) <= k-1] written as the plain CDF sum."""
     q = Fraction(1, p)
     return sum(comb(s, m) * q**m * (1 - q) ** (s - m) for m in range(min(k, s + 1)))
+
+
+def verify_recursion_unshared(s, constraint, n):
+    """(lhs, rhs_reduced, rhs_raw) of verify_recursion with no count shared.
+
+    Not independent of the package: it runs the same shifts and counting
+    engine, but counts both shifts of every j afresh, as verify_recursion
+    did before it counted each distinct cap map once.
+    """
+    from kwise.coprime import _count_caps, count_tuples
+    from kwise.recursion import reduce_constraint, reduce_constraint_raw
+
+    k = constraint.k
+    rhs_reduced = rhs_raw = 0
+    for j in range(1, n + 1):
+        if gcd(j, constraint.moduli[0]) != 1:
+            continue
+        rhs_reduced += count_tuples(s, reduce_constraint(j, constraint), n)
+        rhs_raw += _count_caps(s, k, reduce_constraint_raw(j, constraint).moduli, n)
+    return count_tuples(s + 1, constraint, n), rhs_reduced, rhs_raw
+
+
+def constraint_factor_mobius_literal(s, i, u):
+    """sum over d | rad u of mu(d) C(s,i)^omega(d) / mobius_sum_weight(s, i, d).
+
+    One Fraction per squarefree divisor, found by scanning every divisor;
+    only the weight comes from the package.
+    """
+    from kwise.density import mobius_sum_weight
+
+    total = Fraction(0)
+    for d in squarefree_divisors(u):
+        omega = sum(1 for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p)))
+        total += Fraction((-1) ** omega * comb(s, i) ** omega) / mobius_sum_weight(s, i, d)
+    return total

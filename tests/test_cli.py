@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kwise import arith, cli, recursion
+from kwise import arith, cli, coprime, recursion
 from kwise.arith import MAX_SIEVE
 from kwise.recursion import RecursionReport
 
@@ -176,6 +176,33 @@ def test_mc_wide_tuple_on_a_huge_range_builds_no_sieve(monkeypatch, capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["range_n"] == 10**12 and result["samples"] == 2000
+
+
+def test_mc_range_limit_is_named(capsys):
+    code, out, err = run_cli(
+        capsys, "mc", "--s", "2", "--k", "2", "--range", str(2**63), "--samples", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error[validation]:") and "2^63 - 1" in err
+    code, out, _ = run_cli(
+        capsys, "mc", "--s", "2", "--k", "2", "--range", str(2**63 - 1), "--samples", "10"
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["range_n"] == 2**63 - 1
+
+
+def test_caches_are_bounded():
+    assert arith.factorize.cache_info().maxsize is not None
+    assert coprime._picks.cache_info().maxsize is not None
+
+
+def test_refused_modulus_is_refused_again(capsys):
+    # factorize caches its results, never its refusals
+    argv = ("density", "--s", "2", "--u", f"{(MAX_SIEVE + 1) ** 2},1", "--prime-limit", "100")
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error[budget]:")
 
 
 def test_threads_input_does_not_depend_on_the_machine(monkeypatch, capsys):

@@ -4,7 +4,8 @@ counting engine, the Monte Carlo evaluator and the interval Euler product.
 Both routes into the one cap evaluator (the predicate and the naive counter)
 and the sampler's gcd evaluator are checked against the subset-gcd oracles,
 the Mobius-expansion counter against enumeration and the naive counter and
-across the reduced and raw constraint shifts, the weight-based formulas
+across the reduced and raw constraint shifts (which also give the same
+caps, so verify_recursion may share their counts), the weight-based formulas
 against their plain Fraction definitions, and the fixed-point interval
 product against the exact Fraction product and across prime limits.
 """
@@ -21,18 +22,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kwise.arith import sieve_primes
-from kwise.coprime import ConstraintVector, _count_caps, count_tuples, satisfies_constraint
+from kwise.coprime import (
+    ConstraintVector,
+    _count_caps,
+    _prime_caps,
+    count_tuples,
+    satisfies_constraint,
+)
 from kwise.density import (
     _interval_enclosure,
     constraint_factor,
+    constraint_factor_mobius,
     limiting_density,
     local_factor,
     mobius_sum_weight,
     tail_fraction,
 )
-from kwise.recursion import reduce_constraint, reduce_constraint_raw
+from kwise.recursion import reduce_constraint, reduce_constraint_raw, verify_recursion
 from kwise.stats import _hits
-from oracles import binomial_tail_local_factor, constraint_ok, count_by_enumeration
+from oracles import (
+    binomial_tail_local_factor,
+    constraint_factor_mobius_literal,
+    constraint_ok,
+    count_by_enumeration,
+    verify_recursion_unshared,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 VALUE_MAX = 120
@@ -95,6 +109,23 @@ def test_reduced_shift_counts_like_raw_shift(cv, s, data):
     assert count_tuples(s, reduce_constraint(j, cv), n) == _count_caps(s, cv.k, raw, n)
 
 
+@given(constraints(max_k=6), st.integers(1, 5000))
+def test_both_shifts_give_the_same_caps(cv, j):
+    """What lets verify_recursion count the two shifts of a j once."""
+    assume(gcd(j, cv.moduli[0]) == 1)
+    reduced = reduce_constraint(j, cv).moduli
+    raw = reduce_constraint_raw(j, cv).moduli
+    assert _prime_caps(cv.k, reduced) == _prime_caps(cv.k, raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constraints(max_k=5), st.integers(1, 3), st.data())
+def test_shared_counts_match_unshared_recursion(cv, s, data):
+    n = data.draw(st.integers(0, {1: 30, 2: 30, 3: 20}[s]), label="n")
+    rep = verify_recursion(s, cv, n)
+    assert (rep.lhs, rep.rhs_reduced, rep.rhs_raw) == verify_recursion_unshared(s, cv, n)
+
+
 # entries near 2^62 sharing 2, 3, 5, 7 or the prime 2^31 - 1
 Q = 2**31 - 1
 BIG = (2**62, 2**62 - 1, Q * Q, 6 * Q, 10 * Q, 2**62 // 15 * 15, 2**62 // 7 * 7)
@@ -143,6 +174,22 @@ non_squarefree = st.one_of(
 @given(st.integers(1, 6), st.integers(1, 4), non_squarefree)
 def test_mobius_sum_weight_on_non_squarefree(s, i, d):
     assert mobius_sum_weight(s, i, d) == _mobius_sum_weight_definition(s, i, d)
+
+
+@st.composite
+def lemma4_cells(draw):
+    """(s, k, i, u) with 1 <= i < k <= s + 1 <= 9 and u <= 10^4, often not squarefree."""
+    s = draw(st.integers(1, 8))
+    k = draw(st.integers(2, s + 1))
+    u = draw(st.one_of(st.integers(1, 10**4), non_squarefree.filter(lambda d: d <= 10**4)))
+    return s, k, draw(st.integers(1, k - 1)), u
+
+
+@settings(deadline=None)
+@given(lemma4_cells())
+def test_mobius_route_matches_literal_fraction_sum(cell):
+    s, k, i, u = cell
+    assert constraint_factor_mobius(s, k, i, u) == constraint_factor_mobius_literal(s, i, u)
 
 
 def _rounded(value, digits, rounding):

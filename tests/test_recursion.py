@@ -3,10 +3,12 @@ from math import gcd
 
 import pytest
 
+from kwise import recursion
 from kwise.coprime import (
     BudgetError,
     ConstraintVector,
     _count_caps,
+    _prime_caps,
     count_tuples,
 )
 from kwise.recursion import (
@@ -139,3 +141,25 @@ def test_recursion_budget_and_validation():
         verify_recursion(0, c, 5)
     with pytest.raises(ValueError):
         verify_recursion(1, c, -1)
+
+
+def test_recursion_counts_each_cap_map_once(monkeypatch):
+    s, c, n = 2, ConstraintVector((5, 6)), 30
+    counted = []
+
+    def counting(s_, k, moduli, n_, **kwargs):
+        counted.append(tuple(sorted(_prime_caps(k, moduli).items())))
+        return _count_caps(s_, k, moduli, n_, **kwargs)
+
+    monkeypatch.setattr(recursion, "_count_caps", counting)
+    rep = verify_recursion(s, c, n)
+    assert rep.passed
+    maps = {
+        tuple(sorted(_prime_caps(c.k, shift(j, c).moduli).items()))
+        for j in range(1, n + 1)
+        if gcd(j, 5) == 1
+        for shift in (reduce_constraint, reduce_constraint_raw)
+    }
+    assert sorted(counted) == sorted(maps)
+    # fewer counts than the two per j the shifts would otherwise take
+    assert len(counted) < 2 * sum(1 for j in range(1, n + 1) if gcd(j, 5) == 1)

@@ -140,6 +140,8 @@ def test_monte_carlo_validation():
         monte_carlo(0, c, 100, 10)
     with pytest.raises(ValueError):
         monte_carlo(2, c, 0, 10)
+    with pytest.raises(ValueError, match=r"2\^63 - 1"):
+        monte_carlo(2, c, 2**63, 10)
     with pytest.raises(ValueError):
         monte_carlo(2, c, 100, 0)
     with pytest.raises(ValueError):
