@@ -3,11 +3,13 @@ counting engine, the Monte Carlo evaluator and the interval Euler product.
 
 Both routes into the one cap evaluator (the predicate and the naive counter)
 and the sampler's gcd evaluator are checked against the subset-gcd oracles,
-the Mobius-expansion counter against enumeration and the naive counter and
-across the reduced and raw constraint shifts (which also give the same
-caps, so verify_recursion may share their counts), the weight-based formulas
-against their plain Fraction definitions, and the fixed-point interval
-product against the exact Fraction product and across prime limits.
+the gcd evaluator also for additivity over splits of its rows and invariance
+under their permutations, the Mobius-expansion counter against enumeration
+and the naive counter and across the reduced and raw constraint shifts
+(which also give the same caps, so verify_recursion may share their
+counts), the weight-based formulas against their plain Fraction
+definitions, and the fixed-point interval product against the exact
+Fraction product and across prime limits.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
@@ -148,6 +150,19 @@ def test_monte_carlo_evaluator_matches_subset_gcd(cv, rows):
     if small:
         expect = sum(satisfies_constraint(row, cv) for row in small)
         assert _hits(np.array(small, dtype=np.int64), cv.k, cv.moduli) == expect
+
+
+@settings(deadline=None)
+@given(constraints(max_k=9), sample_rows(), st.data())
+def test_monte_carlo_evaluator_is_additive_and_order_free(cv, rows, data):
+    # a survivor index that mixed up rows could keep the total right on one
+    # order of the rows, but not on every split and permutation of them
+    arr = np.array(rows, dtype=np.int64)
+    total = _hits(arr, cv.k, cv.moduli)
+    side = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))))
+    assert _hits(arr[side], cv.k, cv.moduli) + _hits(arr[~side], cv.k, cv.moduli) == total
+    order = data.draw(st.permutations(range(len(rows))))
+    assert _hits(arr[order], cv.k, cv.moduli) == total
 
 
 @given(st.integers(1, 9), st.integers(2, 7), st.sampled_from((2, 3, 5, 7, 11, 101, 7919)))

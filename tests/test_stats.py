@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kwise import stats
+from kwise.arith import sieve_primes
 from kwise.coprime import ConstraintVector, count_tuples
 from kwise.density import kwise_coprime_probability, limiting_density
 from kwise.stats import (
@@ -132,6 +134,89 @@ def test_monte_carlo_modulus_beyond_int64():
     assert est.hits == oracle(2, (u,))
     assert 0 < est.hits < 500
     assert _hits(rows, 3, (1, u)) == oracle(3, (1, u))
+
+
+def _oracle_hits(rows, k, moduli):
+    return sum(constraint_ok(tuple(map(int, row)), k, moduli) for row in rows)
+
+
+def test_evaluator_all_rows_fail_before_last_column():
+    # odd entries, the first two sharing 3: the parity pass keeps every row
+    # with fewer than two even entries, and each one fails at column 1
+    rng = np.random.Generator(np.random.PCG64(21))
+    rows = 2 * rng.integers(0, 10**5, size=(300, 6), dtype=np.int64) + 1
+    rows[:, :2] *= 3
+    assert _hits(rows, 2, (1,)) == _oracle_hits(rows, 2, (1,)) == 0
+    assert _hits(rows, 3, (1, 5)) == _oracle_hits(rows, 3, (1, 5))
+
+
+def test_evaluator_orders_above_s_hold_for_every_row():
+    # k = 5 > s = 3, and the one modulus sits at order 4 > s: nothing to check
+    rng = np.random.Generator(np.random.PCG64(22))
+    rows = rng.integers(1, 60, size=(200, 3), dtype=np.int64, endpoint=True)
+    moduli = (1, 1, 1, 30)
+    assert _hits(rows, 5, moduli) == _oracle_hits(rows, 5, moduli) == len(rows)
+    assert _hits(rows, 4, (1, 1, 1)) == len(rows)
+
+
+def test_evaluator_even_modulus_at_order_one():
+    # any even entry fails u_1 = 2 or 6; 6 also rejects a multiple of 3
+    rng = np.random.Generator(np.random.PCG64(23))
+    rows = rng.integers(1, 40, size=(400, 4), dtype=np.int64, endpoint=True)
+    for moduli in ((2,), (6,), (6, 5)):
+        k = len(moduli) + 1
+        expect = _oracle_hits(rows, k, moduli)
+        assert _hits(rows, k, moduli) == expect
+        assert 0 < expect < len(rows)
+    # on odd rows u_1 = 2 rejects nothing more than k = 2 alone
+    odd = rows[(rows % 2).all(axis=1)]
+    assert _hits(odd, 2, (2,)) == _hits(odd, 2, (1,)) > 0
+
+
+def test_evaluator_even_modulus_beyond_int64():
+    # 2^64 and 3 * 2^63 at order 2 pass the parity pass and the object gcds
+    rng = np.random.Generator(np.random.PCG64(24))
+    rows = rng.integers(1, 50, size=(400, 4), dtype=np.int64, endpoint=True)
+    rows[:5] = 2**62
+    for u in (2**64, 3 * 2**63):
+        expect = _oracle_hits(rows, 3, (1, u))
+        assert _hits(rows, 3, (1, u)) == expect
+        assert 0 < expect < len(rows)
+
+
+def test_evaluator_wide_rows():
+    # s = 30, k = 3: entries 1, primes below 500 or products of two of them,
+    # so many rows pass and the failures fall on many columns, the last included
+    rng = np.random.Generator(np.random.PCG64(25))
+    primes = np.array(sieve_primes(500), dtype=np.int64)
+    pool = np.concatenate([np.ones(60, dtype=np.int64), primes, primes[:20] * primes[20:40]])
+    rows = rng.choice(pool, size=(120, 30))
+    for moduli in ((1, 1), (1, 6), (7, 1)):
+        expect = _oracle_hits(rows, 3, moduli)
+        assert _hits(rows, 3, moduli) == expect
+        assert 0 < expect < len(rows)
+
+
+def test_monte_carlo_chunks_are_bounded_by_cells(monkeypatch):
+    shapes = []
+    hits = stats._hits
+
+    def recording(rows, k, moduli):
+        shapes.append(rows.shape)
+        return hits(rows, k, moduli)
+
+    monkeypatch.setattr(stats, "_hits", recording)
+    c = ConstraintVector((1, 1))
+    monte_carlo(200, c, 1000, 12_000, seed=3)
+    assert len(shapes) == 3 and sum(n for n, _ in shapes) == 12_000
+    assert all(n * s <= stats._CHUNK_CELLS and s == 200 for n, s in shapes)
+    shapes.clear()
+    monte_carlo(16, c, 1000, 70_000, seed=3)
+    assert shapes == [(65536, 16), (70_000 - 65536, 16)]
+    shapes.clear()
+    monkeypatch.setattr(stats, "_CHUNK_CELLS", 8)
+    monte_carlo(10, c, 1000, 3, seed=3)
+    assert shapes == [(1, 10)] * 3
 
 
 def test_monte_carlo_validation():
