@@ -150,23 +150,26 @@ def satisfies_constraint(values: Sequence[int], constraint: ConstraintVector) ->
     return _satisfies_caps(values, constraint.k, constraint.moduli)
 
 
-def _prime_caps(k: int, moduli: tuple[int, ...]) -> dict[int, int]:
-    """Maximum multiplicity allowed for each prime with a non-default cap.
+def _prime_caps(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The cap map: sorted (p, cap) pairs for the primes with a non-default cap.
 
-    Primes absent from the map carry the k-wise default of k - 1.  A prime
-    dividing u_i may divide at most i - 1 entries; when moduli share a prime
-    (relaxed vectors only) the smallest cap wins.
+    Primes absent from it carry the k-wise default of k - 1, where k - 1 =
+    len(moduli).  A prime dividing u_i may divide at most i - 1 < k - 1
+    entries, so every cap lies below the default; when moduli share a prime
+    (relaxed vectors only) the smallest cap wins.  Canonical and hashable: the
+    counting engine's input and verify_recursion's share key.
     """
     caps: dict[int, int] = {}
     for i, u in enumerate(moduli, start=1):
         for p in factorize(u).primes():
             caps[p] = min(i - 1, caps.get(p, i - 1))
-    return {p: min(c, k - 1) for p, c in caps.items()}
+    return tuple(sorted(caps.items()))
 
 
 def _satisfies_caps(values: Sequence[int], k: int, moduli: tuple[int, ...]) -> bool:
     """Per-prime cap check; also valid for relaxed (non-coprime) moduli."""
-    return _within_caps((factorize(v).primes() for v in values), _prime_caps(k, moduli), k - 1)
+    caps = dict(_prime_caps(moduli))
+    return _within_caps((factorize(v).primes() for v in values), caps, k - 1)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -183,8 +186,8 @@ def _picks(sizes: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], int
     )
 
 
-def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
-    """Exact count over [1, n]^s by Mobius expansion over the primes.
+def _count_mobius(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> int:
+    """Exact count over [1, n]^s under the cap map `caps` (from _prime_caps).
 
     A prime p with cap c allows at most c entries divisible by it.  Over the
     coordinates T it divides, that indicator expands into weights h(|T|) with
@@ -200,13 +203,14 @@ def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
     of equal values, weighted by binomials (_picks, shared by every call).
     A prime needs c + 1 coordinates with floor(n / d_i) >= p; past the last
     capped prime, the first prime short of k of them ends the walk, since
-    larger primes have fewer still.  The moduli matter only through their caps.
+    larger primes have fewer still.
     """
-    caps = _prime_caps(k, moduli)
+    cap_of = dict(caps)
     default = k - 1
+    capped = [p for p, _ in caps if p <= n]
     # a prime on the default cap needs k entries, so below s = k only capped primes count
-    primes = sieve_primes(n) if s >= k else sorted(p for p in caps if p <= n)
-    last = max((p for p in caps if p <= n), default=0)
+    primes = sieve_primes(n) if s >= k else capped
+    last = capped[-1] if capped else 0
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def total(start: int, ms: tuple[int, ...]) -> int:
@@ -218,7 +222,7 @@ def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
         for j in range(start, len(primes)):
             p = primes[j]
             lo = bisect_left(ms, p)
-            cap = caps.get(p, default)
+            cap = cap_of.get(p, default)
             if len(ms) - lo <= cap:
                 if lo == len(ms) or p > last:
                     break
@@ -247,20 +251,17 @@ def _count_mobius(s: int, k: int, moduli: tuple[int, ...], n: int) -> int:
 def _count_caps(
     s: int,
     k: int,
-    moduli: tuple[int, ...],
+    caps: tuple[tuple[int, int], ...],
     n: int,
     *,
     strategy: str = "signature",
-    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Counting core shared by the public API and the relaxed internal path."""
+    """Counting core of count_tuples and verify_recursion, on a cap map from _prime_caps."""
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if strategy not in ("signature", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
     volume = n**s
@@ -271,12 +272,13 @@ def _count_caps(
     if n == 0:
         return 0
     if strategy == "naive":
+        cap_of = dict(caps)
         return sum(
             1
             for t in product(range(1, n + 1), repeat=s)
-            if _satisfies_caps(t, k, moduli)
+            if _within_caps((factorize(v).primes() for v in t), cap_of, k - 1)
         )
-    return _count_mobius(s, k, moduli, n)
+    return _count_mobius(s, k, caps, n)
 
 
 def count_tuples(
@@ -293,17 +295,13 @@ def count_tuples(
     The default "signature" strategy sums the Mobius expansion of the
     per-prime caps over squarefree divisor vectors (see _count_mobius);
     "naive" enumerates every tuple and evaluates the predicate, as a
-    cross-check.  Both refuse to start when n**s exceeds `budget`.  Counting
-    is serial: `threads` must be at least 1 and starts no workers.
+    cross-check, both on the cap map derived here once.  Both refuse to start
+    when n**s exceeds `budget`.  Counting is serial: `threads`, checked here,
+    must be at least 1 and starts no workers.
     """
     if not isinstance(constraint, ConstraintVector):
         raise TypeError(f"constraint must be a ConstraintVector, got {type(constraint).__name__}")
-    return _count_caps(
-        s,
-        constraint.k,
-        constraint.moduli,
-        n,
-        strategy=strategy,
-        threads=threads,
-        budget=budget,
-    )
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    caps = _prime_caps(constraint.moduli)
+    return _count_caps(s, constraint.k, caps, n, strategy=strategy, budget=budget)

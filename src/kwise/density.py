@@ -16,7 +16,7 @@ are then the exact product's, and F doubles until they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
@@ -62,9 +62,9 @@ class DensityEnclosure:
 
     @property
     def width(self) -> Decimal:
-        # plenty of working precision keeps the subtraction exact
+        # a difference of two finite decimals is exact at MAX_PREC
         with localcontext() as ctx:
-            ctx.prec = 999
+            ctx.prec = MAX_PREC
             return self.upper - self.lower
 
 
@@ -242,10 +242,12 @@ def mobius_sum_weight(s: int, i: int, d: int) -> Fraction:
 def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
     """Mobius-sum route to the constraint factors.
 
-    Evaluates sum over squarefree divisors d of u of
-    mu(d) C(s,i)^omega(d) / mobius_sum_weight(s, i, d), in integers over the
-    common denominator mobius_sum_weight(s, i, rad u), which every term's
-    weight divides (the weights are products over the primes of d).  Equals
+    Evaluates sum over squarefree divisors d of u of mu(d) C(s,i)^omega(d) /
+    prod_{p|d} w_p with w_p = W(s, i + 1, p), the squarefree case of
+    mobius_sum_weight(s, i, d): over the denominator prod_{p|u} w_p, the d
+    made of the primes T adds (-C(s,i))^|T| times the w_p outside T.  Still
+    the inclusion-exclusion sum, independent of the product route and its
+    per-prime ratio W(s, i, p) / W(s, k, p).  Equals
     constraint_factor(s,k,i,u) / constraint_factor(s,k,i+1,u) for i < k - 1
     and constraint_factor(s,k,k-1,u) at i = k - 1; mobius_ratio_identity
     checks that equality case by case.
@@ -255,18 +257,13 @@ def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
         raise ValueError(f"i must lie in [1, k-1] = [1, {k - 1}], got {i}")
     if u < 1:
         raise ValueError(f"u must be a positive integer, got {u}")
-    primes = factorize(u).primes()
-    den = mobius_sum_weight(s, i, prod(primes)).numerator
+    weights = [_weight(s, i + 1, p) for p in factorize(u).primes()]
     c = comb(s, i)
     total = 0
-    for r in range(len(primes) + 1):
-        for sub in combinations(primes, r):
-            d = prod(sub)
-            share, rest = divmod(den, mobius_sum_weight(s, i, d).numerator)
-            if rest:
-                raise ArithmeticError(f"the weight of d = {d} does not divide that of rad u")
-            total += (-c) ** r * share
-    return Fraction(total, den)
+    for r in range(len(weights) + 1):
+        for outside in combinations(weights, len(weights) - r):
+            total += (-c) ** r * prod(outside)
+    return Fraction(total, prod(weights))
 
 
 def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, Fraction, bool]]:

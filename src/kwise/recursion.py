@@ -137,13 +137,14 @@ def verify_recursion(
     with u_1 contribute nothing (the pair j, u_1 alone would violate the
     constraint) and are skipped.  Exact integer comparison throughout.
 
-    The s-tuple counts are shared: the counting engine sees the moduli only
-    through their per-prime caps (_prime_caps), so each distinct cap map is
-    counted once per call, whichever shift or j produced it.  The reduced
-    and the raw shift of one j are looked up separately, and counted
-    separately when their maps differ.  When the maps agree, a second count
-    would run the same deterministic engine on identical caps and could not
-    disagree with the first, so sharing it gives up no check.
+    The s-tuple counts are shared: each shift's cap map (_prime_caps) is
+    derived once and serves both as the key of the shared counts and as the
+    counting engine's input, so each distinct cap map is counted once per
+    call, whichever shift or j produced it.  The reduced and the raw shift of
+    one j are looked up separately, and counted separately when their maps
+    differ.  When the maps agree, a second count would run the same
+    deterministic engine on identical caps and could not disagree with the
+    first, so sharing it gives up no check.
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
@@ -154,11 +155,10 @@ def verify_recursion(
     counts: dict[tuple[tuple[int, int], ...], int] = {}
 
     def shifted_count(moduli: tuple[int, ...]) -> int:
-        key = tuple(sorted(_prime_caps(k, moduli).items()))
-        out = counts.get(key)
-        if out is None:
-            out = counts[key] = _count_caps(s, k, moduli, n, budget=budget)
-        return out
+        caps = _prime_caps(moduli)
+        if caps not in counts:
+            counts[caps] = _count_caps(s, k, caps, n, budget=budget)
+        return counts[caps]
 
     rhs_reduced = 0
     rhs_raw = 0

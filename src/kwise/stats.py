@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .coprime import DEFAULT_BUDGET, ConstraintVector, count_tuples
+from .coprime import DEFAULT_BUDGET, BudgetError, ConstraintVector, count_tuples
 from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
@@ -43,8 +43,8 @@ __all__ = [
     "monte_carlo",
 ]
 
-# one chunk holds at most _CHUNK_ROWS rows and _CHUNK_CELLS entries, so the
-# sampler's memory does not grow with s; every s <= 16 draws full-height chunks
+# one chunk holds at most _CHUNK_ROWS rows and _CHUNK_CELLS entries (a wider row
+# is refused), so memory does not grow with s; every s <= 16 draws full-height chunks
 _CHUNK_ROWS = 1 << 16
 _CHUNK_CELLS = 1 << 20
 
@@ -217,10 +217,13 @@ def monte_carlo(
     the seeded generator jumped m times, the per-stream sample counts split
     the total evenly with the remainder on the leading streams, and each
     stream draws its rows in chunks of min(_CHUNK_ROWS, _CHUNK_CELLS // s)
-    rows (at least one).
+    rows.  An s above _CHUNK_CELLS, a row wider than a chunk, raises
+    BudgetError before anything is drawn.
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
+    if s > _CHUNK_CELLS:
+        raise BudgetError(f"s = {s} exceeds the sampler's row limit of {_CHUNK_CELLS} entries")
     if not 1 <= range_n < 2**63:
         raise ValueError(f"range_n must lie in [1, 2^63 - 1] (int64 draws), got {range_n}")
     if samples < 1:
@@ -232,7 +235,7 @@ def monte_carlo(
     import numpy as np
 
     base, extra = divmod(samples, streams)
-    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // s))
+    chunk = min(_CHUNK_ROWS, _CHUNK_CELLS // s)
     hits = 0
     for m in range(streams):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(m))

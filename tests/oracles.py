@@ -129,7 +129,7 @@ def verify_recursion_unshared(s, constraint, n):
     engine, but counts both shifts of every j afresh, as verify_recursion
     did before it counted each distinct cap map once.
     """
-    from kwise.coprime import _count_caps, count_tuples
+    from kwise.coprime import _count_caps, _prime_caps, count_tuples
     from kwise.recursion import reduce_constraint, reduce_constraint_raw
 
     k = constraint.k
@@ -138,7 +138,8 @@ def verify_recursion_unshared(s, constraint, n):
         if gcd(j, constraint.moduli[0]) != 1:
             continue
         rhs_reduced += count_tuples(s, reduce_constraint(j, constraint), n)
-        rhs_raw += _count_caps(s, k, reduce_constraint_raw(j, constraint).moduli, n)
+        raw = reduce_constraint_raw(j, constraint).moduli
+        rhs_raw += _count_caps(s, k, _prime_caps(raw), n)
     return count_tuples(s + 1, constraint, n), rhs_reduced, rhs_raw
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kwise import arith, cli, coprime, recursion
+from kwise import arith, cli, coprime, recursion, stats
 from kwise.arith import MAX_SIEVE
 from kwise.recursion import RecursionReport
 
@@ -189,6 +189,15 @@ def test_mc_range_limit_is_named(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["range_n"] == 2**63 - 1
+
+
+def test_mc_row_wider_than_a_chunk_is_a_budget_refusal(monkeypatch, capsys):
+    monkeypatch.setattr(stats, "_CHUNK_CELLS", 8)
+    code, out, err = run_cli(
+        capsys, "mc", "--s", "9", "--k", "2", "--range", "100", "--samples", "10"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error[budget]:") and "8 entries" in err
 
 
 def test_caches_are_bounded():

@@ -9,6 +9,7 @@ from kwise.coprime import (
     ConstraintError,
     ConstraintVector,
     _count_caps,
+    _prime_caps,
     _RelaxedModuli,
     _satisfies_caps,
     count_tuples,
@@ -233,7 +234,7 @@ def test_relaxed_moduli_counting():
     # shared primes take the tightest cap; cross-check against enumeration
     relaxed = _RelaxedModuli((2, 6))
     for n in (4, 6, 9):
-        got = _count_caps(2, relaxed.k, relaxed.moduli, n)
+        got = _count_caps(2, relaxed.k, _prime_caps(relaxed.moduli), n)
         expect = sum(
             1
             for t in product(range(1, n + 1), repeat=2)
@@ -241,7 +242,7 @@ def test_relaxed_moduli_counting():
         )
         assert got == expect
     # (2, 6) relaxed means: no entry even, at most one divisible by 3
-    assert _count_caps(2, 3, (2, 6), 9) == sum(
+    assert _count_caps(2, 3, _prime_caps((2, 6)), 9) == sum(
         1
         for t in product(range(1, 10), repeat=2)
         if all(v % 2 for v in t) and sum(v % 3 == 0 for v in t) <= 1

@@ -246,6 +246,11 @@ def test_probability_enclosure_pairwise():
     assert enc.prime_limit == 10_000
 
 
+def test_width_is_exact_above_999_digits():
+    enc = limiting_density(2, ConstraintVector.trivial(2), 3001, 1100)
+    assert Fraction(enc.width) == Fraction(enc.upper) - Fraction(enc.lower)
+
+
 def test_probability_matches_zeta_oracle():
     # k = s products collapse to 1/zeta(s)
     for s, terms in ((2, 20000), (3, 4000), (4, 2000)):

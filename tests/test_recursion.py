@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from kwise import recursion
+from kwise import coprime, recursion
 from kwise.coprime import (
     BudgetError,
     ConstraintVector,
@@ -72,7 +72,7 @@ def test_shift_counts_agree_raw_vs_reduced():
             raw = reduce_constraint_raw(j, c)
             for n in (4, 7):
                 direct = count_tuples(2, reduced, n)
-                relaxed = _count_caps(2, c.k, raw.moduli, n)
+                relaxed = _count_caps(2, c.k, _prime_caps(raw.moduli), n)
                 assert direct == relaxed, (moduli, j, n)
 
 
@@ -147,15 +147,15 @@ def test_recursion_counts_each_cap_map_once(monkeypatch):
     s, c, n = 2, ConstraintVector((5, 6)), 30
     counted = []
 
-    def counting(s_, k, moduli, n_, **kwargs):
-        counted.append(tuple(sorted(_prime_caps(k, moduli).items())))
-        return _count_caps(s_, k, moduli, n_, **kwargs)
+    def counting(s_, k, caps, n_, **kwargs):
+        counted.append(caps)
+        return _count_caps(s_, k, caps, n_, **kwargs)
 
     monkeypatch.setattr(recursion, "_count_caps", counting)
     rep = verify_recursion(s, c, n)
     assert rep.passed
     maps = {
-        tuple(sorted(_prime_caps(c.k, shift(j, c).moduli).items()))
+        _prime_caps(shift(j, c).moduli)
         for j in range(1, n + 1)
         if gcd(j, 5) == 1
         for shift in (reduce_constraint, reduce_constraint_raw)
@@ -163,3 +163,24 @@ def test_recursion_counts_each_cap_map_once(monkeypatch):
     assert sorted(counted) == sorted(maps)
     # fewer counts than the two per j the shifts would otherwise take
     assert len(counted) < 2 * sum(1 for j in range(1, n + 1) if gcd(j, 5) == 1)
+
+
+def test_cap_map_is_derived_once(monkeypatch):
+    calls = 0
+    prime_caps = coprime._prime_caps
+
+    def counting(moduli):
+        nonlocal calls
+        calls += 1
+        return prime_caps(moduli)
+
+    monkeypatch.setattr(coprime, "_prime_caps", counting)
+    monkeypatch.setattr(recursion, "_prime_caps", counting)
+    for strategy in ("signature", "naive"):
+        calls = 0
+        count_tuples(2, ConstraintVector.trivial(2), 30, strategy=strategy)
+        assert calls == 1, strategy
+    calls = 0
+    verify_recursion(2, ConstraintVector((5, 6)), 30)
+    # one for the direct count, one per shift of each j coprime to u_1 = 5
+    assert calls == 1 + 2 * sum(1 for j in range(1, 31) if gcd(j, 5) == 1) == 49

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kwise import stats
-from kwise.arith import sieve_primes
+from kwise.arith import BudgetError, sieve_primes
 from kwise.coprime import ConstraintVector, count_tuples
 from kwise.density import kwise_coprime_probability, limiting_density
 from kwise.stats import (
@@ -214,9 +214,19 @@ def test_monte_carlo_chunks_are_bounded_by_cells(monkeypatch):
     monte_carlo(16, c, 1000, 70_000, seed=3)
     assert shapes == [(65536, 16), (70_000 - 65536, 16)]
     shapes.clear()
-    monkeypatch.setattr(stats, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(stats, "_CHUNK_CELLS", 10)
     monte_carlo(10, c, 1000, 3, seed=3)
     assert shapes == [(1, 10)] * 3
+
+
+def test_monte_carlo_refuses_a_row_wider_than_a_chunk(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler drew rows")
+
+    monkeypatch.setattr(stats, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(np.random, "Generator", no_draws)
+    with pytest.raises(BudgetError, match="8 entries"):
+        monte_carlo(9, ConstraintVector.trivial(2), 1000, 3)
 
 
 def test_monte_carlo_validation():
