@@ -7,7 +7,8 @@ enclosure bounds as decimal strings, so identical configurations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 a verification identity failed (including shift
-operators that disagree), 2 invalid input, 3 the request exceeds a budget
+operators that disagree), 2 invalid input (an --output FILE that cannot be
+written included), 3 the request exceeds a budget
 (an exact count above --budget, or a sieve above arith.MAX_SIEVE).
 """
 
@@ -357,7 +358,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        Path(args.output).write_bytes(payload.encode("utf-8"))
+        try:
+            Path(args.output).write_bytes(payload.encode("utf-8"))
+        except OSError as exc:
+            reason = f"cannot write --output {args.output}: {exc.strerror}"
+            print(f"error[validation]: {reason}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

@@ -94,6 +94,12 @@ class _RelaxedModuli:
         return len(self.moduli) + 1
 
 
+def _check_constraint(constraint: object) -> None:
+    """Refuse anything but a ConstraintVector, before any of its fields is read."""
+    if not isinstance(constraint, ConstraintVector):
+        raise TypeError(f"constraint must be a ConstraintVector, got {type(constraint).__name__}")
+
+
 def _check_values(values: Sequence[int]) -> None:
     for v in values:
         if v < 1:
@@ -146,6 +152,7 @@ def is_kwise_coprime_to(values: Sequence[int], k: int, u: int) -> bool:
 
 def satisfies_constraint(values: Sequence[int], constraint: ConstraintVector) -> bool:
     """Joint condition: k-wise coprime and i-wise coprime to each u_i."""
+    _check_constraint(constraint)
     _check_values(values)
     return _satisfies_caps(values, constraint.k, constraint.moduli)
 
@@ -249,26 +256,9 @@ def _count_mobius(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> 
 
 
 def _count_caps(
-    s: int,
-    k: int,
-    caps: tuple[tuple[int, int], ...],
-    n: int,
-    *,
-    strategy: str = "signature",
-    budget: int = DEFAULT_BUDGET,
+    s: int, k: int, caps: tuple[tuple[int, int], ...], n: int, *, strategy: str = "signature"
 ) -> int:
-    """Counting core of count_tuples and verify_recursion, on a cap map from _prime_caps."""
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if strategy not in ("signature", "naive"):
-        raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
-    volume = n**s
-    if volume > budget:
-        raise BudgetError(
-            f"enumeration volume n^s = {volume} exceeds the budget of {budget} cells"
-        )
+    """Counting core of count_tuples and verify_recursion, on a cap map and inputs they checked."""
     if n == 0:
         return 0
     if strategy == "naive":
@@ -296,12 +286,20 @@ def count_tuples(
     per-prime caps over squarefree divisor vectors (see _count_mobius);
     "naive" enumerates every tuple and evaluates the predicate, as a
     cross-check, both on the cap map derived here once.  Both refuse to start
-    when n**s exceeds `budget`.  Counting is serial: `threads`, checked here,
-    must be at least 1 and starts no workers.
+    when n**s exceeds `budget`, which is checked here and nowhere else.
+    Counting is serial: `threads`, checked here, must be at least 1 and
+    starts no workers.
     """
-    if not isinstance(constraint, ConstraintVector):
-        raise TypeError(f"constraint must be a ConstraintVector, got {type(constraint).__name__}")
+    _check_constraint(constraint)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if strategy not in ("signature", "naive"):
+        raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
+    if n**s > budget:
+        raise BudgetError(f"enumeration volume n^s = {n**s} exceeds the budget of {budget} cells")
     caps = _prime_caps(constraint.moduli)
-    return _count_caps(s, constraint.k, caps, n, strategy=strategy, budget=budget)
+    return _count_caps(s, constraint.k, caps, n, strategy=strategy)

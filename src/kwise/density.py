@@ -10,7 +10,8 @@ explicit tail bound, so every result is returned as a certified enclosure
 All per-prime factors are exact fractions.  The truncated product, whose
 exact terms run to megabits, is an outward-rounded fixed-point interval
 [lo, hi] * 2^-F; the printed digits are those both ends round to, which
-are then the exact product's, and F doubles until they agree.
+are then the exact product's, or, in the rare case that the ends round
+apart, those of the exact product itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import chain, combinations
 from math import comb, prod
 
 from .arith import factorize, is_prime, sieve_primes
-from .coprime import ConstraintVector
+from .coprime import ConstraintVector, _check_constraint
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -168,21 +169,20 @@ def _interval_enclosure(
     so when lo and hi give the same decimals, exponents included, X gives
     them too.  Factors are at most 1, so each step moves an end at most one
     unit from X: the default bits leave 32 bits below the last digit for X
-    not far below 1, and a straddled decimal doubles bits.  An output equal
-    to a decimal of `digits` figures (0.64 = (3/4)(8/9)(24/25) at s = k = 2,
-    P = 5) straddles at any width; past 8x the default bits, X is computed exactly.
+    not far below 1.  If the ends still give different decimals, X is
+    computed exactly, to the same digits: an output equal to a decimal of
+    `digits` figures (0.64 = (3/4)(8/9)(24/25) at s = k = 2, P = 5)
+    straddles at any width, so a wider pass would not help.  A given bits
+    replaces the default width, so a test can force the exact branch.
     """
-    start = -(-333 * digits // 100) + 32 + len(primes).bit_length()
-    bits = bits or start
-    while bits <= 8 * start:
-        lo = hi = 1 << bits
-        for a, b in chain((_local_pair(s, k, p) for p in primes), [factor.as_integer_ratio()]):
-            lo = lo * a // b
-            hi = -(-hi * a // b)
-        low, high = (_decimals(end, 1 << bits, tail, digits) for end in (lo, hi))
-        if repr(low) == repr(high):
-            return low
-        bits *= 2
+    bits = bits or -(-333 * digits // 100) + 32 + len(primes).bit_length()
+    lo = hi = 1 << bits
+    for a, b in chain((_local_pair(s, k, p) for p in primes), [factor.as_integer_ratio()]):
+        lo = lo * a // b
+        hi = -(-hi * a // b)
+    low, high = (_decimals(end, 1 << bits, tail, digits) for end in (lo, hi))
+    if repr(low) == repr(high):
+        return low
     exact = factor * prod(Fraction(*_local_pair(s, k, p)) for p in primes)
     return _decimals(exact.numerator, exact.denominator, tail, digits)
 
@@ -295,10 +295,7 @@ def limiting_density(
     modulus.  The constraint factors are finite exact rationals, so the
     tail certificate is the same one the bare k-wise product carries.
     """
-    if not isinstance(constraint, ConstraintVector):
-        raise TypeError(
-            f"constraint must be a ConstraintVector, got {type(constraint).__name__}"
-        )
+    _check_constraint(constraint)
     k = constraint.k
     _validate_order(s, k)
     if precision < 1:

@@ -18,6 +18,7 @@ from .coprime import (
     DEFAULT_BUDGET,
     ConstraintError,
     ConstraintVector,
+    _check_constraint,
     _count_caps,
     _prime_caps,
     _RelaxedModuli,
@@ -33,10 +34,7 @@ __all__ = [
 
 
 def _check_shift_args(j: int, constraint: ConstraintVector) -> None:
-    if not isinstance(constraint, ConstraintVector):
-        raise TypeError(
-            f"constraint must be a ConstraintVector, got {type(constraint).__name__}"
-        )
+    _check_constraint(constraint)
     if j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
     g = gcd(j, constraint.moduli[0])
@@ -144,8 +142,10 @@ def verify_recursion(
     one j are looked up separately, and counted separately when their maps
     differ.  When the maps agree, a second count would run the same
     deterministic engine on identical caps and could not disagree with the
-    first, so sharing it gives up no check.
+    first, so sharing it gives up no check.  Only the direct count carries
+    the budget: it checks n**(s+1), which bounds every shifted count's n**s.
     """
+    _check_constraint(constraint)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     if n < 0:
@@ -157,7 +157,7 @@ def verify_recursion(
     def shifted_count(moduli: tuple[int, ...]) -> int:
         caps = _prime_caps(moduli)
         if caps not in counts:
-            counts[caps] = _count_caps(s, k, caps, n, budget=budget)
+            counts[caps] = _count_caps(s, k, caps, n)
         return counts[caps]
 
     rhs_reduced = 0

@@ -7,14 +7,15 @@ raw and normalized errors over an n-grid so that trend is visible.
 The Monte Carlo estimator samples uniform tuples from a finite box and
 decides each one from gcds alone, for every s, with no factorization or
 table, which makes it an independent statistical cross-check of the exact
-machinery.  A tuple fails as soon as one prime divides more of its
-entries than that prime's cap allows, so the evaluator spends its work
-only on the rows that are still open: a parity pass first drops the rows
-that the prime 2 already decides, and each column of the gcd recurrence
-then drops the rows that fail there.  Both steps remove only rows that some
-prime has already made fail, and the rows they keep are decided by the
-full recurrence, so the hit count is exactly the number of satisfying
-rows.
+machinery.  One gcd recurrence of order k decides every row: a prime may
+divide k - 1 entries, and a prime of u_i, which may divide only i - 1,
+enters it k - i levels up, seeded by gcd(x, u_i).  A tuple fails as soon
+as one prime goes over its cap, so the evaluator spends its work only on
+the rows that are still open: a parity pass first drops the rows that the
+prime 2 already decides, and each column of the recurrence then drops the
+rows that fail there.  Both steps remove only rows that some prime has
+already made fail, and the rows they keep are decided by the full
+recurrence, so the hit count is exactly the number of satisfying rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .coprime import DEFAULT_BUDGET, BudgetError, ConstraintVector, count_tuples
+from .coprime import DEFAULT_BUDGET, BudgetError, ConstraintVector, _check_constraint, count_tuples
 from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
@@ -122,19 +123,22 @@ def convergence_table(
     return out
 
 
-def _no_prime_on(cols: np.ndarray, r: int, live: np.ndarray) -> np.ndarray:
-    """The rows of live in which no prime divides r or more of the columns.
+def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, seeds: tuple[int, ...]) -> np.ndarray:
+    """The rows of live in which no prime reaches level k - 1.
 
-    A prime on r columns is caught at the last of them, column m, as a
-    common factor of column m and r - 1 earlier columns.  Walking the
-    earlier columns y, shared[j] is the part of column m whose primes divide
-    at least j of them: gcd intersects prime supports and lcm unites them,
-    so y lifts gcd(shared[j-1], y) into shared[j], with j taken downwards
-    so that y counts once.  The top level is only tested, as
-    gcd(shared[r-2], y) != 1, never stored; after i earlier columns every
-    level above i is still 1, so it is neither updated nor tested, and
-    nothing is updated after the last earlier column.  At r = 1 every entry
-    other than 1 fails.  Every value divides an entry of the row, so int64
+    A prime seeded at level e stands at level e + c - 1 once it divides c
+    columns; seeds[j - 1] carries the primes seeded at level j or higher,
+    and none is seeded above d = len(seeds).  A prime that reaches level
+    k - 1 is caught at the last column m it needs.  Walking the earlier
+    columns y, shared[j] is the part of column m whose primes stand at level
+    j or higher: it starts as gcd(column m, seeds[j - 1]), or 1 above d, and
+    since gcd intersects prime supports and lcm unites them, y lifts
+    gcd(shared[j-1], y) into shared[j], with j taken downwards so that y
+    counts once.  Level k - 1 is only tested, never stored: its seed as
+    gcd(column m, seeds[k - 2]) != 1, and each y as gcd(shared[k-2], y) != 1.
+    After i earlier columns every level above i + d is still 1, so it is
+    neither updated nor tested, and nothing is updated after the last
+    earlier column.  Every value divides an entry of the row, so int64
     stays exact.
 
     A row with such a prime fails whatever the later columns hold, so the
@@ -143,38 +147,41 @@ def _no_prime_on(cols: np.ndarray, r: int, live: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    if r == 1:
-        for m in range(cols.shape[1]):
-            live = live[cols[live, m] == 1]
-        return live
-    for m in range(r - 1, cols.shape[1]):
-        shared = [cols[live, m]] + [1] * (r - 2)
-        bad = np.zeros(len(live), dtype=bool)
+    top, d = k - 1, len(seeds)
+    for m in range(max(top - d, 0), cols.shape[1]):
+        x = cols[live, m]
+        # exact Python-int gcds once a seed reaches 2^63; each divides x, so it fits int64 again
+        wide = x.astype(object) if d and seeds[0] >= 2**63 else x
+        seeded = [np.gcd(wide, u).astype(np.int64, copy=False) for u in seeds] + [1] * (top - d)
+        shared = [x] + seeded[: top - 1]
+        bad = np.zeros(len(live), dtype=bool) | (seeded[top - 1] != 1)
         for i in range(m):
             y = cols[live, i]
-            if i >= r - 2:
-                bad |= np.gcd(shared[r - 2], y) != 1
+            if i >= top - 1 - d:
+                bad |= np.gcd(shared[top - 1], y) != 1
             if i == m - 1:
                 break
-            for j in range(min(r - 2, i + 1), 0, -1):
+            for j in range(min(top - 1, i + 1 + d), 0, -1):
                 shared[j] = np.lcm(shared[j], np.gcd(shared[j - 1], y))
         live = live[~bad]
     return live
 
 
 def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
-    """Rows satisfying the constraint, decided from gcds alone.
+    """Rows satisfying the constraint, decided from gcds alone by one walk of order k.
 
-    Order k on the entries, and order i on gcd(x, u_i) for each u_i != 1;
-    an order above s holds for every row and is not checked.  Each check
-    keeps only the rows that pass it, so a later check sees only the rows
-    still open.
+    A prime may divide at most k - 1 entries, and a prime of u_i at most
+    i - 1, so _no_prime_on seeds it at level k - i.  Level j is seeded with
+    the product of the u_i with k - i >= j: they are pairwise coprime, so
+    its gcd with x is the product of the gcd(x, u_i).  An order above s
+    holds for every row of s entries, so the walk has order at most s + 1,
+    and a modulus at an order above s seeds nothing.
 
-    The prime 2 is decided first, by parity: it breaks order k once it
-    divides k entries, and order i of an even u_i once it divides i
-    entries, so a row with at least lim = min(k, each such i) even entries
-    fails.  Dropping those rows loses no passing row, and the checks that
-    follow still see 2 in the rows that remain, so every verdict is exact.
+    The prime 2 is decided first, by parity: it fails at k entries, and at
+    i entries for an even u_i, so a row with at least lim = min(k, each
+    such i) even entries fails.  Dropping those rows loses no passing row,
+    and the walk still sees 2 in the rows that remain, so every verdict is
+    exact.
     """
     import numpy as np
 
@@ -189,18 +196,10 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
         live = np.flatnonzero(evens < lim)
     else:
         live = np.arange(n)
-    live = _no_prime_on(rows, k, live)
-    for i, u in enumerate(moduli, start=1):
-        if u == 1 or i > s or not len(live):
-            continue
-        cols = rows[live]
-        if u < 2**63:
-            np.gcd(cols, u, out=cols)
-        else:
-            # exact Python-int gcds; each divides its entry, so it fits int64 again
-            cols = np.gcd(cols.astype(object), u).astype(np.int64)
-        live = live[_no_prime_on(cols, i, np.arange(len(live)))]
-    return len(live)
+    # the seeds of levels 1, 2, ... divide each other, and those past the deepest u_i != 1 are 1
+    k = min(k, s + 1)
+    seeds = tuple(u for j in range(1, k) if (u := math.prod(moduli[: k - j])) != 1)
+    return len(_no_prime_on(rows, k, live, seeds))
 
 
 def monte_carlo(
@@ -220,6 +219,7 @@ def monte_carlo(
     rows.  An s above _CHUNK_CELLS, a row wider than a chunk, raises
     BudgetError before anything is drawn.
     """
+    _check_constraint(constraint)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     if s > _CHUNK_CELLS:

@@ -113,6 +113,16 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_bytes() == out.encode("utf-8")
 
 
+def test_unwritable_output_is_a_validation_error(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "doc.json"):
+        code, out, err = run_cli(capsys, "primes", "--limit", "10", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error[validation]:") and str(target) in err
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validation_exit_code_and_message(capsys):
     code, out, err = run_cli(capsys, "count", "--s", "2", "--u", "4,6", "--n", "5")
     assert code == 2

@@ -1,9 +1,11 @@
 """Replay captured CLI documents byte for byte.
 
 tests/cli_goldens.json holds, for every README command plus the s < k,
-constrained and Monte Carlo cap-path cases, the argv, the exit code and the
-exact stdout that the CLI printed when the file was captured.  Any change to
-the canonical JSON, the CSV layout or the text layout shows up here.
+constrained and Monte Carlo cases (a modulus at every order, a non-trivial
+u_1 with k = 4, a modulus above 2^63 at order 2, an order above s), the
+argv, the exit code and the exact stdout that the CLI printed when the file
+was captured.  Any change to the canonical JSON, the CSV layout or the text
+layout shows up here.
 """
 
 import json

@@ -76,6 +76,8 @@ def test_predicates_reject_bad_input():
         is_kwise_coprime_to((1, 2), 1, 0)
     with pytest.raises(ValueError):
         is_kwise_coprime_to((1, -3), 1, 5)
+    with pytest.raises(TypeError, match="got tuple"):
+        satisfies_constraint((1, 2), (1,))
 
 
 def test_kwise_matches_subset_gcd_oracle():

@@ -3,13 +3,14 @@ counting engine, the Monte Carlo evaluator and the interval Euler product.
 
 Both routes into the one cap evaluator (the predicate and the naive counter)
 and the sampler's gcd evaluator are checked against the subset-gcd oracles,
-the gcd evaluator also for additivity over splits of its rows and invariance
-under their permutations, the Mobius-expansion counter against enumeration
-and the naive counter and across the reduced and raw constraint shifts
-(which also give the same caps, so verify_recursion may share their
-counts), the weight-based formulas against their plain Fraction
-definitions, and the fixed-point interval product against the exact
-Fraction product and across prime limits.
+the gcd evaluator also on moduli of 2^63 and above, for additivity over
+splits of its rows and for invariance under their permutations, the
+Mobius-expansion counter against enumeration and the naive counter and
+across the reduced and raw constraint shifts (which also give the same
+caps, so verify_recursion may share their counts), the weight-based
+formulas against their plain Fraction definitions, and the fixed-point
+interval product against the exact Fraction product and across prime
+limits.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
@@ -153,6 +154,33 @@ def test_monte_carlo_evaluator_matches_subset_gcd(cv, rows):
         assert _hits(np.array(small, dtype=np.int64), cv.k, cv.moduli) == expect
 
 
+# factors of 2^63 and above: Q^3 and 17^16 share Q or 17 with some entries,
+# 2^64 - 59 is a prime no entry carries; none is divisible by a SMALL_PRIME
+HUGE = (Q**3, 17**16, 2**64 - 59)
+
+
+@st.composite
+def huge_constraints(draw):
+    """constraints() with each HUGE factor put into any slot, or left out.
+
+    Local to the sampler's property: the counting properties factor their
+    moduli, and a factor this large would need a sieve past MAX_SIEVE.
+    """
+    moduli = list(draw(constraints(max_k=9)).moduli)
+    for f in HUGE:
+        slot = draw(st.integers(-1, len(moduli) - 1))
+        if slot >= 0:
+            moduli[slot] *= f
+    return ConstraintVector(tuple(moduli))
+
+
+@settings(deadline=None)
+@given(huge_constraints(), sample_rows())
+def test_monte_carlo_evaluator_takes_moduli_beyond_int64(cv, rows):
+    expect = sum(constraint_ok(row, cv.k, cv.moduli) for row in rows)
+    assert _hits(np.array(rows, dtype=np.int64), cv.k, cv.moduli) == expect
+
+
 @settings(deadline=None)
 @given(constraints(max_k=9), sample_rows(), st.data())
 def test_monte_carlo_evaluator_is_additive_and_order_free(cv, rows, data):
@@ -245,7 +273,7 @@ def test_interval_product_matches_exact_product(cell):
         _rounded(product, digits, ROUND_HALF_EVEN),
     )
     assert [str(d) for d in (enc.lower, enc.upper, enc.point)] == [str(d) for d in expect]
-    # a start far too narrow for `digits` takes the doubling branch to the same digits
+    # a start far too narrow for `digits` takes the exact branch, to the same digits
     narrow = _interval_enclosure(s, k, primes, factor, tail, digits, bits=3)
     assert [str(d) for d in narrow] == [str(d) for d in expect]
 

@@ -141,6 +141,8 @@ def test_recursion_budget_and_validation():
         verify_recursion(0, c, 5)
     with pytest.raises(ValueError):
         verify_recursion(1, c, -1)
+    with pytest.raises(TypeError, match="got tuple"):
+        verify_recursion(2, (1,), 5)
 
 
 def test_recursion_counts_each_cap_map_once(monkeypatch):

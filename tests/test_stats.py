@@ -245,6 +245,8 @@ def test_monte_carlo_validation():
         monte_carlo(2, c, 100, 10, seed=-1)
     with pytest.raises(ValueError):
         monte_carlo(2, c, 100, 10, seed=2**64)
+    with pytest.raises(TypeError, match="got tuple"):
+        monte_carlo(2, (1,), 100, 10)
 
 
 def test_report_types_are_frozen():
