@@ -8,8 +8,8 @@ byte-identical output.
 
 Exit codes: 0 success, 1 a verification identity failed (including shift
 operators that disagree), 2 invalid input (an --output FILE that cannot be
-written included), 3 the request exceeds a budget
-(an exact count above --budget, or a sieve above arith.MAX_SIEVE).
+opened included), 3 the request exceeds a budget (an exact count above
+--budget, or a sieve above arith.MAX_SIEVE).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
 from math import isfinite
-from pathlib import Path
 from typing import Callable
 
 from .arith import sieve_primes
@@ -357,15 +356,18 @@ def main(argv: list[str] | None = None) -> int:
     except (ConstraintError, ArithmeticError, ValueError, TypeError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        try:
-            Path(args.output).write_bytes(payload.encode("utf-8"))
-        except OSError as exc:
-            reason = f"cannot write --output {args.output}: {exc.strerror}"
-            print(f"error[validation]: {reason}", file=sys.stderr)
-            return 2
-    else:
+    if not args.output:
         sys.stdout.write(payload)
+        return code
+    # a path that cannot be opened is bad input; a failure while writing is not
+    try:
+        out = open(args.output, "wb")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error[validation]: cannot write --output {args.output}: {reason}", file=sys.stderr)
+        return 2
+    with out:
+        out.write(payload.encode("utf-8"))
     return code
 
 

@@ -11,7 +11,7 @@ All per-prime factors are exact fractions.  The truncated product, whose
 exact terms run to megabits, is an outward-rounded fixed-point interval
 [lo, hi] * 2^-F; the printed digits are those both ends round to, which
 are then the exact product's, or, in the rare case that the ends round
-apart, those of the exact product itself.
+apart, those of the exact product itself.  F grows as the product falls.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ def _validate_order(s: int, k: int) -> None:
         raise ValueError(f"s must be at least 1, got {s}")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+
+
+def _validate_factor_args(s: int, k: int, i: int, u: int) -> None:
+    _validate_order(s, k)
+    if not 1 <= i <= k - 1:
+        raise ValueError(f"i must lie in [1, k-1] = [1, {k - 1}], got {i}")
+    if u < 1:
+        raise ValueError(f"u must be a positive integer, got {u}")
 
 
 @cache
@@ -163,24 +171,29 @@ def _interval_enclosure(
 ) -> tuple[Decimal, ...]:
     """_decimals of the truncated product X = factor * prod local_factor(s, k, p).
 
-    Certificate: lo and hi start at 2^bits and take each factor a/b > 0, lo
-    rounded down, hi up; if lo <= X_j 2^bits <= hi, then floor(lo a/b) <=
-    X_j a/b 2^bits <= ceil(hi a/b).  The roundings of _decimals are monotone,
-    so when lo and hi give the same decimals, exponents included, X gives
-    them too.  Factors are at most 1, so each step moves an end at most one
-    unit from X: the default bits leave 32 bits below the last digit for X
-    not far below 1.  If the ends still give different decimals, X is
-    computed exactly, to the same digits: an output equal to a decimal of
+    Certificate: lo and hi bound X_j 2^F from below and above, X_j the
+    product of the first j factors, starting at 2^bits with F = bits.  Each
+    factor a/b > 0 takes lo to floor(lo 2^t a/b), hi to ceil(hi 2^t a/b) and
+    F to F + t, which keeps the bounds; t = 0 unless lo would fall below
+    2^(bits-1), so each step moves an end at most one unit, under 2^(1-bits)
+    of it, however small X gets: the default bits leave about 31 bits below
+    the last digit.  The roundings of _decimals are monotone, so when lo and
+    hi give the same decimals, exponents included, X gives them too.
+    Otherwise X is computed exactly, to the same digits: a decimal of
     `digits` figures (0.64 = (3/4)(8/9)(24/25) at s = k = 2, P = 5)
-    straddles at any width, so a wider pass would not help.  A given bits
-    replaces the default width, so a test can force the exact branch.
+    straddles at any width.  A given bits replaces the default, so a test
+    can force the exact branch.
     """
     bits = bits or -(-333 * digits // 100) + 32 + len(primes).bit_length()
     lo = hi = 1 << bits
+    scale, half = bits, 1 << (bits - 1)
     for a, b in chain((_local_pair(s, k, p) for p in primes), [factor.as_integer_ratio()]):
-        lo = lo * a // b
-        hi = -(-hi * a // b)
-    low, high = (_decimals(end, 1 << bits, tail, digits) for end in (lo, hi))
+        if (down := lo * a // b) < half:
+            t = bits + b.bit_length() - (lo * a).bit_length()
+            lo, hi, scale = lo << t, hi << t, scale + t
+            down = lo * a // b
+        lo, hi = down, -(-hi * a // b)
+    low, high = (_decimals(end, 1 << scale, tail, digits) for end in (lo, hi))
     if repr(low) == repr(high):
         return low
     exact = factor * prod(Fraction(*_local_pair(s, k, p)) for p in primes)
@@ -209,11 +222,7 @@ def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
     given that it divides at most k - 1.  Depends only on the radical of u,
     and is 1 when u = 1.
     """
-    _validate_order(s, k)
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"i must lie in [1, k-1] = [1, {k - 1}], got {i}")
-    if u < 1:
-        raise ValueError(f"u must be a positive integer, got {u}")
+    _validate_factor_args(s, k, i, u)
     num = den = 1
     for p in factorize(u).primes():
         num *= (p - 1) ** (k - i) * _weight(s, i, p)
@@ -252,11 +261,7 @@ def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
     and constraint_factor(s,k,k-1,u) at i = k - 1; mobius_ratio_identity
     checks that equality case by case.
     """
-    _validate_order(s, k)
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"i must lie in [1, k-1] = [1, {k - 1}], got {i}")
-    if u < 1:
-        raise ValueError(f"u must be a positive integer, got {u}")
+    _validate_factor_args(s, k, i, u)
     weights = [_weight(s, i + 1, p) for p in factorize(u).primes()]
     c = comb(s, i)
     total = 0

@@ -135,11 +135,11 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, seeds: tuple[int, .
     since gcd intersects prime supports and lcm unites them, y lifts
     gcd(shared[j-1], y) into shared[j], with j taken downwards so that y
     counts once.  Level k - 1 is only tested, never stored: its seed as
-    gcd(column m, seeds[k - 2]) != 1, and each y as gcd(shared[k-2], y) != 1.
-    After i earlier columns every level above i + d is still 1, so it is
-    neither updated nor tested, and nothing is updated after the last
-    earlier column.  Every value divides an entry of the row, so int64
-    stays exact.
+    shared[k-1] != 1, and each y as gcd(shared[k-2], y) != 1.  After i
+    earlier columns every level above i + d is still 1, and a prime below
+    level k - 1 - (m - i) cannot reach k - 1 in the m - i columns left, so
+    neither is updated or seeded.  Every value divides an entry of the row,
+    so int64 stays exact; gcds with a seed of 2^63 or more run on Python ints.
 
     A row with such a prime fails whatever the later columns hold, so the
     rows that fail at column m leave live before column m + 1: the later
@@ -150,18 +150,18 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, seeds: tuple[int, .
     top, d = k - 1, len(seeds)
     for m in range(max(top - d, 0), cols.shape[1]):
         x = cols[live, m]
-        # exact Python-int gcds once a seed reaches 2^63; each divides x, so it fits int64 again
-        wide = x.astype(object) if d and seeds[0] >= 2**63 else x
-        seeded = [np.gcd(wide, u).astype(np.int64, copy=False) for u in seeds] + [1] * (top - d)
-        shared = [x] + seeded[: top - 1]
-        bad = np.zeros(len(live), dtype=bool) | (seeded[top - 1] != 1)
+        low = max(top - m, 1)
+        found = {
+            u: np.gcd(x if u < 2**63 else x.astype(object), u).astype(np.int64, copy=False)
+            for u in set(seeds[low - 1 :])
+        }
+        shared = [x] + [found.get(u, 1) for u in seeds] + [1] * (top - d)
+        bad = np.zeros(len(live), dtype=bool) | (shared[top] != 1)
         for i in range(m):
             y = cols[live, i]
             if i >= top - 1 - d:
                 bad |= np.gcd(shared[top - 1], y) != 1
-            if i == m - 1:
-                break
-            for j in range(min(top - 1, i + 1 + d), 0, -1):
+            for j in range(min(top - 1, i + 1 + d), max(top - m + i, 0), -1):
                 shared[j] = np.lcm(shared[j], np.gcd(shared[j - 1], y))
         live = live[~bad]
     return live

@@ -123,6 +123,17 @@ def test_unwritable_output_is_a_validation_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_open_error_without_errno_names_its_message(tmp_path, capsys, monkeypatch):
+    def refuse(path, mode):
+        raise OSError("refused by policy")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "doc.json"
+    code, out, err = run_cli(capsys, "primes", "--limit", "10", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error[validation]: cannot write --output {target}: refused by policy\n"
+
+
 def test_validation_exit_code_and_message(capsys):
     code, out, err = run_cli(capsys, "count", "--s", "2", "--u", "4,6", "--n", "5")
     assert code == 2

@@ -4,6 +4,7 @@ from math import gcd, pi
 
 import pytest
 
+from kwise import density
 from kwise.arith import euler_phi, sieve_primes
 from kwise.coprime import ConstraintVector
 from kwise.density import (
@@ -234,6 +235,20 @@ def test_density_on_a_short_decimal_matches_exact_digits():
     # (3/4)(8/9)(24/25) = 0.64 exactly: the interval ends straddle it at every width
     enc = kwise_coprime_probability(2, 2, 5)
     assert (str(enc.lower), str(enc.upper), str(enc.point)) == ("0.512", "0.64", "0.64")
+
+
+def test_small_product_is_decided_without_the_exact_product(monkeypatch):
+    # X = 2.04e-26 at s = 40, k = 2, P = 1000 lies 85 bits below 1, more than
+    # the 32 guard bits of the default width, yet one pass decides its digits
+    primes = sieve_primes(1000)
+    tail = tail_fraction(40, 2, 1000)
+    exact = _interval_enclosure(40, 2, primes, Fraction(1), tail, 30, bits=3)
+    calls = []
+    real = density._decimals
+    monkeypatch.setattr(density, "_decimals", lambda *args: calls.append(args) or real(*args))
+    got = _interval_enclosure(40, 2, primes, Fraction(1), tail, 30)
+    assert len(calls) == 2 and repr(got) == repr(exact)
+    assert str(got[2]) == "2.04065149703955232567932165758E-26"
 
 
 def test_probability_enclosure_pairwise():

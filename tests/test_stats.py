@@ -159,6 +159,18 @@ def test_evaluator_orders_above_s_hold_for_every_row():
     assert _hits(rows, 4, (1, 1, 1)) == len(rows)
 
 
+def test_evaluator_lifts_only_levels_that_can_reach_the_cap(monkeypatch):
+    # s = k = 12: only column 11 is tested, and a prime that must divide all 12
+    # entries stands at level i + 1 after i + 1 earlier columns, so each earlier
+    # column but the last lifts that one level: 10 lcm calls, not 55
+    calls = []
+    lcm = np.lcm
+    monkeypatch.setattr(np, "lcm", lambda *args: calls.append(1) or lcm(*args))
+    rows = np.array([sieve_primes(40)[:12], [3] * 12, [15] * 11 + [7]], dtype=np.int64)
+    assert _hits(rows, 12, (1,) * 11) == _oracle_hits(rows, 12, (1,) * 11) == 2
+    assert len(calls) == 10
+
+
 def test_evaluator_even_modulus_at_order_one():
     # any even entry fails u_1 = 2 or 6; 6 also rejects a multiple of 3
     rng = np.random.Generator(np.random.PCG64(23))
