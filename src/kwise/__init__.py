@@ -1,88 +1,12 @@
 """Exact densities and counting tools for k-wise coprime integer tuples."""
 
-from .arith import (
-    Factorization,
-    co_part,
-    euler_phi,
-    factorize,
-    is_prime,
-    mobius,
-    omega,
-    sieve_primes,
-    squarefree_divisor_count,
-    tight_part,
-)
-from .coprime import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    ConstraintError,
-    ConstraintVector,
-    count_tuples,
-    is_kwise_coprime,
-    is_kwise_coprime_to,
-    satisfies_constraint,
-)
-from .density import (
-    DEFAULT_PRECISION,
-    DEFAULT_PRIME_LIMIT,
-    DensityEnclosure,
-    constraint_factor,
-    constraint_factor_mobius,
-    error_log_exponent,
-    kwise_coprime_probability,
-    limiting_density,
-    local_factor,
-    mobius_ratio_identity,
-    mobius_sum_weight,
-    tail_fraction,
-)
-from .recursion import (
-    RecursionReport,
-    reduce_constraint,
-    reduce_constraint_raw,
-    verify_recursion,
-)
-from .stats import CountReport, MonteCarloEstimate, convergence_table, monte_carlo
+from . import arith, coprime, density, recursion, stats
+from .arith import *
+from .coprime import *
+from .density import *
+from .recursion import *
+from .stats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "ConstraintError",
-    "ConstraintVector",
-    "CountReport",
-    "DEFAULT_BUDGET",
-    "DEFAULT_PRECISION",
-    "DEFAULT_PRIME_LIMIT",
-    "DensityEnclosure",
-    "Factorization",
-    "MonteCarloEstimate",
-    "RecursionReport",
-    "co_part",
-    "constraint_factor",
-    "constraint_factor_mobius",
-    "convergence_table",
-    "count_tuples",
-    "error_log_exponent",
-    "euler_phi",
-    "factorize",
-    "is_kwise_coprime",
-    "is_kwise_coprime_to",
-    "is_prime",
-    "kwise_coprime_probability",
-    "limiting_density",
-    "local_factor",
-    "mobius",
-    "mobius_ratio_identity",
-    "mobius_sum_weight",
-    "monte_carlo",
-    "omega",
-    "reduce_constraint",
-    "reduce_constraint_raw",
-    "satisfies_constraint",
-    "sieve_primes",
-    "squarefree_divisor_count",
-    "tail_fraction",
-    "tight_part",
-    "verify_recursion",
-]
+__all__ = sorted({name for m in (arith, coprime, density, recursion, stats) for name in m.__all__})

@@ -9,7 +9,8 @@ byte-identical output.
 Exit codes: 0 success, 1 a verification identity failed (including shift
 operators that disagree), 2 invalid input (an --output FILE that cannot be
 opened included), 3 the request exceeds a budget (an exact count above
---budget, or a sieve above arith.MAX_SIEVE).
+--budget, a sieve above arith.MAX_SIEVE, or a --precision above
+density.MAX_PRECISION).
 """
 
 from __future__ import annotations
@@ -45,71 +46,6 @@ from .stats import convergence_table, monte_carlo
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kwise",
-        description="Exact densities and counts for k-wise coprime integer tuples.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    out.add_argument("--output", metavar="FILE", help="write the document to FILE instead of stdout")
-
-    shape = argparse.ArgumentParser(add_help=False)
-    shape.add_argument("--s", type=int, required=True, help="tuple length")
-    shape.add_argument("--k", type=int, help="coprimality order; implied by --u")
-    shape.add_argument("--u", help="comma-separated moduli u_1,...,u_{k-1}")
-
-    work = argparse.ArgumentParser(add_help=False)
-    work.add_argument(
-        "--threads", type=int, help="accepted and recorded (>= 1); counting runs serially"
-    )
-    work.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max n**s cells")
-
-    dens = argparse.ArgumentParser(add_help=False)
-    dens.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
-    dens.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-
-    p = sub.add_parser("density", parents=[out, shape, dens], help="limiting density enclosure")
-
-    p = sub.add_parser("count", parents=[out, shape, work], help="exact count over [1,n]^s")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--strategy", choices=("signature", "naive"), default="signature")
-
-    p = sub.add_parser("mc", parents=[out, shape], help="Monte Carlo density estimate")
-    p.add_argument("--range", dest="range_n", type=int, required=True, help="sample box [1, RANGE]")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1)
-
-    p = sub.add_parser(
-        "converge", parents=[out, shape, dens, work], help="exact counts vs prediction over a grid"
-    )
-    p.add_argument("--grid", required=True, help="comma-separated n values")
-
-    p = sub.add_parser(
-        "verify-lemma4",
-        parents=[out],
-        help="check the Mobius-sum route to the constraint factors",
-    )
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--u-max", type=int, default=100, help="sweep moduli u = 1..U")
-
-    p = sub.add_parser(
-        "verify-recursion",
-        parents=[out, shape, work],
-        help="check the last-coordinate counting recursion",
-    )
-    p.add_argument("--n-max", type=int, required=True, help="verify every n = 1..N")
-
-    p = sub.add_parser("primes", parents=[out], help="list primes up to a bound")
-    p.add_argument("--limit", type=int, required=True)
-
-    return parser
-
-
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -117,41 +53,26 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _resolve_constraint(args: argparse.Namespace) -> ConstraintVector:
-    if args.u is None:
-        if args.k is None:
+def _resolve_constraint(inp: dict) -> ConstraintVector:
+    """The constraint that --k and --u describe; records k and the parsed moduli in inp."""
+    if inp["u"] is None:
+        if inp["k"] is None:
             raise ValueError("either --k or --u is required")
-        return ConstraintVector.trivial(args.k)
-    constraint = ConstraintVector(_parse_int_list(args.u, "--u"))
-    if args.k is not None and args.k != constraint.k:
-        raise ValueError(
-            f"--k {args.k} conflicts with --u of length {len(constraint.moduli)}, "
-            f"which implies k = {constraint.k}"
-        )
+        constraint = ConstraintVector.trivial(inp["k"])
+    else:
+        constraint = ConstraintVector(_parse_int_list(inp["u"], "--u"))
+        if inp["k"] is not None and inp["k"] != constraint.k:
+            raise ValueError(
+                f"--k {inp['k']} conflicts with --u of length {len(constraint.moduli)}, "
+                f"which implies k = {constraint.k}"
+            )
+    inp["k"], inp["u"] = constraint.k, constraint.moduli
     return constraint
 
 
-def _resolve_inputs(
-    names: tuple[str, ...], args: argparse.Namespace
-) -> tuple[dict, ConstraintVector | None]:
-    """The command's recorded inputs, flag defaults applied, moduli parsed."""
-    constraint = _resolve_constraint(args) if "u" in names else None
-    inputs = {}
-    for name in names:
-        if name == "k" and constraint is not None:
-            inputs[name] = constraint.k
-        elif name == "u":
-            inputs[name] = constraint.moduli
-        elif name == "grid":
-            inputs[name] = _parse_int_list(args.grid, "--grid")
-        else:
-            inputs[name] = getattr(args, name)
-    return inputs, constraint
-
-
-def _threads(inp: dict) -> int:
-    # recorded as given (null when omitted); counting is serial either way
-    return 1 if inp["threads"] is None else inp["threads"]
+def _work(inp: dict) -> dict:
+    # threads is recorded as given (null when omitted); counting is serial either way
+    return {"threads": 1 if inp["threads"] is None else inp["threads"], "budget": inp["budget"]}
 
 
 class _VerificationFailure(Exception):
@@ -162,8 +83,8 @@ _ENCLOSURE = ("lower", "upper", "point", "width", "tail_bound", "prime_limit")
 _REPORT = ("n", "lhs", "rhs_reduced", "rhs_raw", "passed")
 
 
-def _run_density(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
-    s = inp["s"]
+def _run_density(inp: dict) -> tuple[dict, int]:
+    s, constraint = inp["s"], _resolve_constraint(inp)
     enc = limiting_density(s, constraint, inp["prime_limit"], inp["precision"])
     result = {name: getattr(enc, name) for name in _ENCLOSURE}
     if any(u != 1 for u in constraint.moduli):
@@ -174,39 +95,31 @@ def _run_density(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
     return result, 0
 
 
-def _run_count(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
-    count = count_tuples(
-        inp["s"],
-        constraint,
-        inp["n"],
-        strategy=inp["strategy"],
-        threads=_threads(inp),
-        budget=inp["budget"],
-    )
+def _run_count(inp: dict) -> tuple[dict, int]:
+    constraint = _resolve_constraint(inp)
+    count = count_tuples(inp["s"], constraint, inp["n"], strategy=inp["strategy"], **_work(inp))
     return {"n": inp["n"], "count": count}, 0
 
 
-def _run_mc(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
+def _run_mc(inp: dict) -> tuple[dict, int]:
+    constraint = _resolve_constraint(inp)
     est = monte_carlo(
         inp["s"], constraint, inp["range_n"], inp["samples"], inp["seed"], inp["streams"]
     )
     return asdict(est), 0
 
 
-def _run_converge(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
+def _run_converge(inp: dict) -> tuple[dict, int]:
+    constraint = _resolve_constraint(inp)
+    inp["grid"] = _parse_int_list(inp["grid"], "--grid")
     rows = convergence_table(
-        inp["s"],
-        constraint,
-        inp["grid"],
-        prime_limit=inp["prime_limit"],
-        precision=inp["precision"],
-        threads=_threads(inp),
-        budget=inp["budget"],
+        inp["s"], constraint, inp["grid"],
+        prime_limit=inp["prime_limit"], precision=inp["precision"], **_work(inp),
     )
     return {"rows": [asdict(r) for r in rows]}, 0
 
 
-def _run_verify_lemma4(inp: dict, _: None) -> tuple[dict, int]:
+def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
     cells = [
         (u, *row) for u in range(1, inp["u_max"] + 1)
         for row in mobius_ratio_identity(inp["s"], inp["k"], u)
@@ -215,13 +128,11 @@ def _run_verify_lemma4(inp: dict, _: None) -> tuple[dict, int]:
     return {"cells": len(cells), "failures": len(failed), "failed": failed}, 1 if failed else 0
 
 
-def _run_verify_recursion(inp: dict, constraint: ConstraintVector) -> tuple[dict, int]:
-    reports, threads = [], _threads(inp)
+def _run_verify_recursion(inp: dict) -> tuple[dict, int]:
+    constraint, work, reports = _resolve_constraint(inp), _work(inp), []
     for n in range(1, inp["n_max"] + 1):
         try:
-            rep = verify_recursion(
-                inp["s"], constraint, n, threads=threads, budget=inp["budget"]
-            )
+            rep = verify_recursion(inp["s"], constraint, n, **work)
         except (ArithmeticError, ConstraintError) as exc:
             # the shift operators disagree: the recursion itself failed
             raise _VerificationFailure(f"n = {n}: {exc}") from exc
@@ -230,7 +141,7 @@ def _run_verify_recursion(inp: dict, constraint: ConstraintVector) -> tuple[dict
     return {"cells": len(reports), "failures": failures, "reports": reports}, 1 if failures else 0
 
 
-def _run_primes(inp: dict, _: None) -> tuple[dict, int]:
+def _run_primes(inp: dict) -> tuple[dict, int]:
     primes = sieve_primes(inp["limit"])
     return {"count": len(primes), "primes": primes}, 0
 
@@ -239,45 +150,85 @@ def _run_primes(inp: dict, _: None) -> tuple[dict, int]:
 class _Command:
     """What the CLI needs to know about one command.
 
-    inputs names the recorded inputs in the order the text format prints
-    them; run maps (inputs, constraint) to (result, exit code).  columns is
-    the CSV header: a single row read from the result itself, or one row
-    per item of result[rows] when rows is set.
+    options declares the command's flags as (input name, flag, add_argument
+    keywords), in the order the text format prints the recorded inputs; run
+    maps those inputs to (result, exit code) and records the parsed k, u and
+    grid in place of the flags' text.  columns is the CSV header: a single
+    row read from the result itself, or one row per item of result[rows]
+    when rows is set.
     """
 
-    inputs: tuple[str, ...]
-    run: Callable[[dict, ConstraintVector | None], tuple[dict, int]]
+    help: str
+    options: tuple[tuple[str, str, dict], ...]
+    run: Callable[[dict], tuple[dict, int]]
     columns: tuple[str, ...]
     rows: str | None = None
 
 
-_SHAPE = ("s", "k", "u")
-_DENS = ("prime_limit", "precision")
-_WORK = ("threads", "budget")
+_SHAPE = (
+    ("s", "--s", dict(type=int, required=True, help="tuple length")),
+    ("k", "--k", dict(type=int, help="coprimality order; implied by --u")),
+    ("u", "--u", dict(help="comma-separated moduli u_1,...,u_{k-1}")),
+)
+_DENS = (
+    ("prime_limit", "--prime-limit", dict(type=int, default=DEFAULT_PRIME_LIMIT)),
+    ("precision", "--precision", dict(type=int, default=DEFAULT_PRECISION)),
+)
+_WORK = (
+    ("threads", "--threads",
+     dict(type=int, help="accepted and recorded (>= 1); counting runs serially")),
+    ("budget", "--budget", dict(type=int, default=DEFAULT_BUDGET, help="max n**s cells")),
+)
 
 _COMMANDS = {
-    "density": _Command((*_SHAPE, *_DENS), _run_density, _ENCLOSURE),
-    "count": _Command((*_SHAPE, "n", "strategy", *_WORK), _run_count, ("n", "count")),
-    "mc": _Command(
-        (*_SHAPE, "range_n", "samples", "seed", "streams"),
-        _run_mc,
-        ("samples", "hits", "estimate", "std_error", "seed", "range_n", "streams"),
-    ),
-    "converge": _Command(
-        (*_SHAPE, *_DENS, *_WORK, "grid"),
-        _run_converge,
-        ("n", "count", "predicted", "abs_error", "normalized_error"),
-        rows="rows",
-    ),
-    "verify-lemma4": _Command(("s", "k", "u_max"), _run_verify_lemma4, ("cells", "failures")),
-    "verify-recursion": _Command(
-        (*_SHAPE, *_WORK, "n_max"),
-        _run_verify_recursion,
-        _REPORT,
-        rows="reports",
-    ),
-    "primes": _Command(("limit",), _run_primes, ("p",), rows="primes"),
+    "density": _Command("limiting density enclosure", (*_SHAPE, *_DENS), _run_density, _ENCLOSURE),
+    "count": _Command("exact count over [1,n]^s", (
+        *_SHAPE,
+        ("n", "--n", dict(type=int, required=True)),
+        ("strategy", "--strategy", dict(choices=("signature", "naive"), default="signature")),
+        *_WORK,
+    ), _run_count, ("n", "count")),
+    "mc": _Command("Monte Carlo density estimate", (
+        *_SHAPE,
+        ("range_n", "--range", dict(type=int, required=True, help="sample box [1, RANGE]")),
+        ("samples", "--samples", dict(type=int, required=True)),
+        ("seed", "--seed", dict(type=int, default=0)),
+        ("streams", "--streams", dict(type=int, default=1)),
+    ), _run_mc, ("samples", "hits", "estimate", "std_error", "seed", "range_n", "streams")),
+    "converge": _Command("exact counts vs prediction over a grid", (
+        *_SHAPE, *_DENS, *_WORK,
+        ("grid", "--grid", dict(required=True, help="comma-separated n values")),
+    ), _run_converge, ("n", "count", "predicted", "abs_error", "normalized_error"), rows="rows"),
+    "verify-lemma4": _Command("check the Mobius-sum route to the constraint factors", (
+        ("s", "--s", dict(type=int, required=True)),
+        ("k", "--k", dict(type=int, required=True)),
+        ("u_max", "--u-max", dict(type=int, default=100, help="sweep moduli u = 1..U")),
+    ), _run_verify_lemma4, ("cells", "failures")),
+    "verify-recursion": _Command("check the last-coordinate counting recursion", (
+        *_SHAPE, *_WORK,
+        ("n_max", "--n-max", dict(type=int, required=True, help="verify every n = 1..N")),
+    ), _run_verify_recursion, _REPORT, rows="reports"),
+    "primes": _Command("list primes up to a bound", (
+        ("limit", "--limit", dict(type=int, required=True)),
+    ), _run_primes, ("p",), rows="primes"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kwise",
+        description="Exact densities and counts for k-wise coprime integer tuples.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument(
+            "--output", metavar="FILE", help="write the document to FILE instead of stdout"
+        )
+        for dest, flag, kwargs in cmd.options:
+            p.add_argument(flag, dest=dest, **kwargs)
+    return parser
 
 
 def _jsonable(value):
@@ -342,9 +293,9 @@ def _render(doc: dict, cmd: _Command, fmt: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cmd = _COMMANDS[args.command]
+    inputs = {name: getattr(args, name) for name, _, _ in cmd.options}
     try:
-        inputs, constraint = _resolve_inputs(cmd.inputs, args)
-        result, code = cmd.run(inputs, constraint)
+        result, code = cmd.run(inputs)
         doc = {"command": args.command, "inputs": inputs, "result": result}
         payload = _render(doc, cmd, args.format)
     except BudgetError as exc:

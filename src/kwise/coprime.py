@@ -286,7 +286,8 @@ def count_tuples(
     per-prime caps over squarefree divisor vectors (see _count_mobius);
     "naive" enumerates every tuple and evaluates the predicate, as a
     cross-check, both on the cap map derived here once.  Both refuse to start
-    when n**s exceeds `budget`, which is checked here and nowhere else.
+    when n**s exceeds `budget`, which must be nonnegative and is checked here
+    and nowhere else.
     Counting is serial: `threads`, checked here, must be at least 1 and
     starts no workers.
     """
@@ -299,6 +300,8 @@ def count_tuples(
         raise ValueError(f"n must be nonnegative, got {n}")
     if strategy not in ("signature", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if n**s > budget:
         raise BudgetError(f"enumeration volume n^s = {n**s} exceeds the budget of {budget} cells")
     caps = _prime_caps(constraint.moduli)

@@ -23,13 +23,14 @@ from functools import cache
 from itertools import chain, combinations
 from math import comb, prod
 
-from .arith import factorize, is_prime, sieve_primes
+from .arith import BudgetError, factorize, is_prime, sieve_primes
 from .coprime import ConstraintVector, _check_constraint
 
 __all__ = [
     "DEFAULT_PRECISION",
     "DEFAULT_PRIME_LIMIT",
     "DensityEnclosure",
+    "MAX_PRECISION",
     "constraint_factor",
     "constraint_factor_mobius",
     "error_log_exponent",
@@ -43,6 +44,8 @@ __all__ = [
 
 DEFAULT_PRECISION = 50
 DEFAULT_PRIME_LIMIT = 100_000
+# the decimal divisions grow faster than linearly in the digits: 10^5 takes seconds
+MAX_PRECISION = 10**5
 
 
 @dataclass(frozen=True)
@@ -298,13 +301,16 @@ def limiting_density(
 
     The k-wise Euler product times the exact constraint factors for each
     modulus.  The constraint factors are finite exact rationals, so the
-    tail certificate is the same one the bare k-wise product carries.
+    tail certificate is the same one the bare k-wise product carries.  A
+    precision above MAX_PRECISION is refused with BudgetError before any work.
     """
     _check_constraint(constraint)
     k = constraint.k
     _validate_order(s, k)
     if precision < 1:
         raise ValueError(f"precision must be at least 1, got {precision}")
+    if precision > MAX_PRECISION:
+        raise BudgetError(f"precision {precision} exceeds the limit of {MAX_PRECISION} digits")
     tail = tail_fraction(s, k, prime_limit)
     if tail >= 1:
         raise ValueError(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kwise import arith, cli, coprime, recursion, stats
+from kwise import arith, cli, coprime, density, recursion, stats
 from kwise.arith import MAX_SIEVE
 from kwise.recursion import RecursionReport
 
@@ -153,6 +153,9 @@ def test_validation_exit_code_and_message(capsys):
     code, _, err = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "5", "--threads", "0")
     assert code == 2 and "threads must be at least 1" in err
 
+    code, _, err = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "5", "--budget", "-1")
+    assert code == 2 and "budget must be nonnegative" in err
+
 
 def test_budget_exit_code(capsys):
     code, out, err = run_cli(
@@ -184,6 +187,22 @@ def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error[budget]:")
+
+
+@pytest.mark.parametrize(
+    "command", [("density",), ("converge", "--grid", "5")], ids=["density", "converge"]
+)
+def test_precision_above_the_limit_refused_before_work(monkeypatch, capsys, command):
+    def started(*args):
+        raise AssertionError("the enclosure was started")
+
+    monkeypatch.setattr(density, "tail_fraction", started)
+    digits = density.MAX_PRECISION + 1
+    code, out, err = run_cli(capsys, *command, "--s", "2", "--k", "2", "--precision", str(digits))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error[budget]: precision {digits} exceeds the limit of {density.MAX_PRECISION} digits\n"
+    )
 
 
 def test_mc_wide_tuple_on_a_huge_range_builds_no_sieve(monkeypatch, capsys):
@@ -244,6 +263,59 @@ def test_threads_input_does_not_depend_on_the_machine(monkeypatch, capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["inputs"]["threads"] is None
+
+
+# each command's recorded inputs, in text-format order, and the flags it requires
+RECORDED_INPUTS = [
+    ("density", ("s", "k", "u", "prime_limit", "precision"), ("--s", "2", "--k", "2")),
+    (
+        "count",
+        ("s", "k", "u", "n", "strategy", "threads", "budget"),
+        ("--s", "2", "--k", "2", "--n", "5"),
+    ),
+    (
+        "mc",
+        ("s", "k", "u", "range_n", "samples", "seed", "streams"),
+        ("--s", "2", "--k", "2", "--range", "10", "--samples", "10"),
+    ),
+    (
+        "converge",
+        ("s", "k", "u", "prime_limit", "precision", "threads", "budget", "grid"),
+        ("--s", "2", "--k", "2", "--grid", "5"),
+    ),
+    ("verify-lemma4", ("s", "k", "u_max"), ("--s", "2", "--k", "2")),
+    (
+        "verify-recursion",
+        ("s", "k", "u", "threads", "budget", "n_max"),
+        ("--s", "1", "--k", "2", "--n-max", "3"),
+    ),
+    ("primes", ("limit",), ("--limit", "10")),
+]
+DEFAULTS = {
+    "prime_limit": 100000,
+    "precision": 50,
+    "budget": 200000000,
+    "strategy": "signature",
+    "seed": 0,
+    "streams": 1,
+    "u_max": 100,
+    "threads": None,
+}
+
+
+@pytest.mark.parametrize(
+    "command, names, required", RECORDED_INPUTS, ids=[case[0] for case in RECORDED_INPUTS]
+)
+def test_recorded_inputs_and_defaults(capsys, command, names, required):
+    code, out, _ = run_cli(capsys, command, *required, "--format", "text")
+    assert code == 0
+    lines = out.split("\nresult:\n")[0].splitlines()[1:]
+    assert [line.split(" = ")[0].strip() for line in lines] == list(names)
+    code, out, _ = run_cli(capsys, command, *required)
+    inputs = json.loads(out)["inputs"]
+    assert sorted(inputs) == sorted(names)
+    defaults = {name: DEFAULTS[name] for name in names if name in DEFAULTS}
+    assert {name: inputs[name] for name in defaults} == defaults
 
 
 def test_verify_lemma4_passes(capsys):

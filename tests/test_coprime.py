@@ -228,6 +228,8 @@ def test_count_input_validation():
         count_tuples(2, c, 5, strategy="guess")
     with pytest.raises(ValueError):
         count_tuples(2, c, 5, threads=0)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        count_tuples(2, c, 0, budget=-1)
     with pytest.raises(TypeError):
         count_tuples(2, (1,), 5)
 

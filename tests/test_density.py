@@ -5,7 +5,7 @@ from math import gcd, pi
 import pytest
 
 from kwise import density
-from kwise.arith import euler_phi, sieve_primes
+from kwise.arith import BudgetError, euler_phi, sieve_primes
 from kwise.coprime import ConstraintVector
 from kwise.density import (
     _decimal_ratio,
@@ -318,6 +318,21 @@ def test_probability_validation():
         kwise_coprime_probability(2, 2, 1000, precision=0)
     with pytest.raises(ValueError):
         kwise_coprime_probability(2, 1, 1000)
+
+
+def test_precision_above_the_limit_is_refused_before_any_work(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(density, "tail_fraction", started)
+    c = ConstraintVector((5, 6))
+    with pytest.raises(BudgetError, match=f"limit of {density.MAX_PRECISION} digits"):
+        limiting_density(2, c, 100, density.MAX_PRECISION + 1)
+    with pytest.raises(Started):
+        limiting_density(2, c, 100, density.MAX_PRECISION)
 
 
 def test_limiting_density_trivial_matches_bare_probability():
