@@ -1,17 +1,16 @@
 """Prime sieve, factorization and the small multiplicative functions.
 
 Everything here works on plain Python ints so results stay exact no matter
-how large the operands get.  The sieve is cached and grows geometrically up
-to MAX_SIEVE, so repeated factorization of small numbers never re-sieves.
+how large the operands get.  Factorization and primality go by trial
+division and never sieve; the sieve keeps only its last table.
 """
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 
 __all__ = [
@@ -29,7 +28,8 @@ __all__ = [
     "tight_part",
 ]
 
-# the sieve holds a byte per integer and a Python int per prime
+# the sieve holds a byte per integer and a Python int per prime; trial
+# division of n stops at the same bound, so it accepts isqrt(n) <= MAX_SIEVE
 MAX_SIEVE = 10**8
 
 
@@ -37,21 +37,14 @@ class BudgetError(RuntimeError):
     """Raised when a request would exceed a work or memory budget."""
 
 
-_sieve_lock = threading.Lock()
-_sieved_limit = 0
-_sieved_primes: tuple[int, ...] = ()
-
-
-def _grow_sieve(limit: int) -> None:
-    global _sieved_limit, _sieved_primes
-    target = max(limit, min(2 * _sieved_limit, MAX_SIEVE), 1 << 10)
-    flags = bytearray([1]) * (target + 1)
+@lru_cache(maxsize=1)
+def _sieve(limit: int) -> tuple[int, ...]:
+    flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(target) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, target + 1, p)))
-    _sieved_primes = tuple(compress(range(target + 1), flags))
-    _sieved_limit = target
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(compress(range(limit + 1), flags))
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -63,21 +56,20 @@ def sieve_primes(limit: int) -> list[int]:
         return []
     if limit > MAX_SIEVE:
         raise BudgetError(f"a sieve up to {limit} exceeds the limit of {MAX_SIEVE}")
-    if limit > _sieved_limit:
-        with _sieve_lock:
-            if limit > _sieved_limit:
-                _grow_sieve(limit)
-    return list(_sieved_primes[: bisect_right(_sieved_primes, limit)])
+    return list(_sieve(limit))
+
+
+def _trial_divisors(n: int) -> Iterable[int]:
+    """2 and the odd numbers up to isqrt(n), refused before any work past MAX_SIEVE."""
+    root = isqrt(n)
+    if root > MAX_SIEVE:
+        raise BudgetError(f"trial division up to {root} exceeds the limit of {MAX_SIEVE}")
+    return chain((2,), range(3, root + 1, 2)) if root >= 2 else ()
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division over sieved primes."""
-    if n < 2:
-        return False
-    for p in sieve_primes(isqrt(n)):
-        if n % p == 0:
-            return False
-    return True
+    """Deterministic primality test by trial division up to isqrt(n)."""
+    return n >= 2 and all(n % d for d in _trial_divisors(n))
 
 
 @dataclass(frozen=True)
@@ -113,21 +105,21 @@ def factorize(n: int) -> Factorization:
     """Factor a positive integer by trial division.
 
     Cached, since the verify commands factor the same moduli thousands of
-    times; a refusal (a sieve past MAX_SIEVE) raises and is not cached.
+    times; a refusal (isqrt(n) past MAX_SIEVE) raises and is not cached.
     """
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
     entries = []
     rest = n
-    for p in sieve_primes(isqrt(n)):
-        if p * p > rest:
+    for d in _trial_divisors(n):
+        if d * d > rest:
             break
-        if rest % p == 0:
+        if rest % d == 0:
             e = 0
-            while rest % p == 0:
-                rest //= p
+            while rest % d == 0:
+                rest //= d
                 e += 1
-            entries.append((p, e))
+            entries.append((d, e))
     if rest > 1:
         entries.append((rest, 1))
     return Factorization(tuple(entries))

@@ -9,8 +9,9 @@ byte-identical output.
 Exit codes: 0 success, 1 a verification identity failed (including shift
 operators that disagree), 2 invalid input (an --output FILE that cannot be
 opened included), 3 the request exceeds a budget (an exact count above
---budget, a sieve above arith.MAX_SIEVE, or a --precision above
-density.MAX_PRECISION).
+--budget, a sieve or a trial division above arith.MAX_SIEVE, a --precision
+above density.MAX_PRECISION, or a verify-lemma4 sweep above
+MAX_LEMMA4_CELLS cells).
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class _VerificationFailure(Exception):
     """A verifier could not produce its report because two routes disagree."""
 
 
+# the (u, i) cells one verify-lemma4 sweep may check: tens of seconds at s = k = 2
+MAX_LEMMA4_CELLS = 10**6
+
 _ENCLOSURE = ("lower", "upper", "point", "width", "tail_bound", "prime_limit")
 _REPORT = ("n", "lhs", "rhs_reduced", "rhs_raw", "passed")
 
@@ -120,12 +124,15 @@ def _run_converge(inp: dict) -> tuple[dict, int]:
 
 
 def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
-    cells = [
-        (u, *row) for u in range(1, inp["u_max"] + 1)
-        for row in mobius_ratio_identity(inp["s"], inp["k"], u)
-    ]
-    failed = [{"i": i, "u": u, "lhs": lhs, "rhs": rhs} for u, i, lhs, rhs, ok in cells if not ok]
-    return {"cells": len(cells), "failures": len(failed), "failed": failed}, 1 if failed else 0
+    s, k, u_max = inp["s"], inp["k"], inp["u_max"]
+    if u_max * (k - 1) > MAX_LEMMA4_CELLS:
+        raise BudgetError(f"{u_max * (k - 1)} lemma 4 cells exceed the limit of {MAX_LEMMA4_CELLS}")
+    cells, failed = 0, []
+    for u in range(1, u_max + 1):
+        rows = mobius_ratio_identity(s, k, u)
+        cells += len(rows)
+        failed += ({"i": i, "u": u, "lhs": lhs, "rhs": rhs} for i, lhs, rhs, ok in rows if not ok)
+    return {"cells": cells, "failures": len(failed), "failed": failed}, 1 if failed else 0
 
 
 def _run_verify_recursion(inp: dict) -> tuple[dict, int]:

@@ -282,6 +282,7 @@ def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, F
     one of the two routes, never a rounding artifact.  Each constraint
     factor is computed once and serves both ratios it appears in.
     """
+    _validate_order(s, k)
     factors = [constraint_factor(s, k, i, u) for i in range(1, k)] + [Fraction(1)]
     out = []
     for i in range(1, k):

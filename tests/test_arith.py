@@ -2,6 +2,7 @@ import pytest
 
 from kwise import arith
 from kwise.arith import (
+    BudgetError,
     Factorization,
     co_part,
     euler_phi,
@@ -31,20 +32,10 @@ def test_sieve_matches_trial_division():
 
 
 def test_sieve_prefix_consistency():
-    # growing the cache must not change earlier answers
+    # each limit is sieved on its own, and the answers must nest
     full = sieve_primes(5000)
     assert sieve_primes(100) == [p for p in full if p <= 100]
     assert sieve_primes(4999) == [p for p in full if p <= 4999]
-
-
-def test_sieve_growth_stays_under_the_cap(monkeypatch):
-    # the cache grows geometrically, but never past MAX_SIEVE
-    primes = tuple(sieve_primes(2000))
-    monkeypatch.setattr(arith, "MAX_SIEVE", 3000)
-    monkeypatch.setattr(arith, "_sieved_limit", 2000)
-    monkeypatch.setattr(arith, "_sieved_primes", primes)
-    assert sieve_primes(2500) == [p for p in sieve_primes(3000) if p <= 2500]
-    assert arith._sieved_limit == 3000
 
 
 def test_is_prime():
@@ -69,6 +60,45 @@ def test_factorize_roundtrip_and_order():
         assert list(f.primes()) == sorted(f.primes())
         assert all(e >= 1 for _, e in f.entries)
         assert all(is_prime(p) for p in f.primes())
+
+
+def factor_by_primes(n, primes):
+    entries = []
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            entries.append((p, e))
+    return tuple(entries) + (((n, 1),) if n > 1 else ())
+
+
+def test_factorize_and_is_prime_never_sieve(monkeypatch):
+    cases = (999983 * 1000003, 10**12 + 39, 360)
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} built")
+
+    monkeypatch.setattr(arith, "_sieve", no_sieve)
+    factorize.cache_clear()
+    got = [(factorize(n).entries, is_prime(n)) for n in cases]
+    monkeypatch.undo()
+    # every case lies below (10**6 + 3)**2, so what the primes leave is 1 or prime
+    primes = sieve_primes(10**6 + 3)
+    expected = [factor_by_primes(n, primes) for n in cases]
+    assert got == [(e, e == ((n, 1),)) for n, e in zip(cases, expected)]
+    assert [prime for _, prime in got] == [False, True, False]
+
+
+def test_trial_division_keeps_the_sieve_cap(monkeypatch):
+    # refused exactly when isqrt(n) > MAX_SIEVE, as when factorize sieved to isqrt(n)
+    monkeypatch.setattr(arith, "MAX_SIEVE", 1000)
+    factorize.cache_clear()
+    assert factorize(997**2).entries == ((997, 2),)
+    for call, n in ((factorize, 1009**2), (factorize, 2**22), (is_prime, 1009**2)):
+        with pytest.raises(BudgetError):
+            call(n)
 
 
 def test_factorization_views():

@@ -156,6 +156,11 @@ def test_validation_exit_code_and_message(capsys):
     code, _, err = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "5", "--budget", "-1")
     assert code == 2 and "budget must be nonnegative" in err
 
+    for k in ("1", "0"):
+        code, out, err = run_cli(capsys, "verify-lemma4", "--s", "2", "--k", k)
+        assert (code, out) == (2, "")
+        assert err == f"error[validation]: k must be at least 2, got {k}\n"
+
 
 def test_budget_exit_code(capsys):
     code, out, err = run_cli(
@@ -171,19 +176,19 @@ def test_budget_exit_code(capsys):
     [
         ("primes", "--limit", str(MAX_SIEVE + 1)),
         ("density", "--s", "2", "--k", "2", "--prime-limit", str(MAX_SIEVE + 1)),
-        # a modulus whose square root is just above the cap
+        # a modulus whose square root is just above the cap, refused as trial division
         ("density", "--s", "2", "--u", f"{(MAX_SIEVE + 1) ** 2},1", "--prime-limit", "100"),
     ],
     ids=["primes", "prime-limit", "modulus"],
 )
 def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
-    grow = arith._grow_sieve
+    sieve = arith._sieve
 
-    def capped_grow(limit):
+    def capped_sieve(limit):
         assert limit <= MAX_SIEVE, f"sieve of {limit} allocated"
-        grow(limit)
+        return sieve(limit)
 
-    monkeypatch.setattr(arith, "_grow_sieve", capped_grow)
+    monkeypatch.setattr(arith, "_sieve", capped_sieve)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error[budget]:")
@@ -205,11 +210,50 @@ def test_precision_above_the_limit_refused_before_work(monkeypatch, capsys, comm
     )
 
 
+def test_lemma4_sweep_above_the_limit_refused_before_work(monkeypatch, capsys):
+    def started(*args):
+        raise AssertionError("the sweep was started")
+
+    monkeypatch.setattr(cli, "mobius_ratio_identity", started)
+    cells = cli.MAX_LEMMA4_CELLS + 1
+    code, out, err = run_cli(capsys, "verify-lemma4", "--s", "2", "--k", "2", "--u-max", str(cells))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error[budget]: {cells} lemma 4 cells exceed the limit of {cli.MAX_LEMMA4_CELLS}\n"
+    )
+
+
+def test_lemma4_sweep_at_the_limit_runs(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_LEMMA4_CELLS", 10)
+    code, out, _ = run_cli(capsys, "verify-lemma4", "--s", "3", "--k", "3", "--u-max", "5")
+    assert code == 0 and json.loads(out)["result"]["cells"] == 10
+    code, _, err = run_cli(capsys, "verify-lemma4", "--s", "3", "--k", "3", "--u-max", "6")
+    assert code == 3 and err.startswith("error[budget]: 12 lemma 4 cells")
+
+
+def test_lemma4_keeps_only_the_failed_cells(monkeypatch, capsys):
+    identity = cli.mobius_ratio_identity
+
+    def one_bad_cell(s, k, u):
+        return [
+            (i, lhs, rhs + 1, False) if (u, i) == (4, 2) else (i, lhs, rhs, ok)
+            for i, lhs, rhs, ok in identity(s, k, u)
+        ]
+
+    monkeypatch.setattr(cli, "mobius_ratio_identity", one_bad_cell)
+    code, out, _ = run_cli(capsys, "verify-lemma4", "--s", "3", "--k", "3", "--u-max", "5")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert set(result) == {"cells", "failures", "failed"}
+    assert (result["cells"], result["failures"]) == (10, 1)
+    assert [(f["u"], f["i"]) for f in result["failed"]] == [(4, 2)]
+
+
 def test_mc_wide_tuple_on_a_huge_range_builds_no_sieve(monkeypatch, capsys):
     def no_sieve(limit):
         raise AssertionError(f"sieve of {limit} allocated")
 
-    monkeypatch.setattr(arith, "_grow_sieve", no_sieve)
+    monkeypatch.setattr(arith, "_sieve", no_sieve)
     code, out, _ = run_cli(
         capsys, "mc", "--s", "10", "--k", "3", "--range", str(10**12), "--samples", "2000"
     )
@@ -242,6 +286,8 @@ def test_mc_row_wider_than_a_chunk_is_a_budget_refusal(monkeypatch, capsys):
 
 def test_caches_are_bounded():
     assert arith.factorize.cache_info().maxsize is not None
+    # the process holds at most one prime table
+    assert arith._sieve.cache_info().maxsize == 1
     assert coprime._picks.cache_info().maxsize is not None
 
 

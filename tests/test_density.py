@@ -182,6 +182,13 @@ def test_mobius_route_matches_factor_ratios():
                     assert constraint_factor_mobius(s, k, i, u) == lhs
 
 
+def test_mobius_route_rejects_an_order_below_two():
+    # an empty range of i must not pass for a check
+    for s, k in ((2, 1), (2, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            mobius_ratio_identity(s, k, 6)
+
+
 def test_error_log_exponent():
     assert error_log_exponent(2, 2) == 1
     assert error_log_exponent(4, 3) == 3
