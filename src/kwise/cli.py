@@ -11,7 +11,11 @@ operators that disagree), 2 invalid input (an --output FILE that cannot be
 opened included), 3 the request exceeds a budget (an exact count above
 --budget, a sieve or a trial division above arith.MAX_SIEVE, a --precision
 above density.MAX_PRECISION, or a verify-lemma4 sweep above
-MAX_LEMMA4_CELLS cells).
+MAX_LEMMA4_CELLS cells).  Both verify sweeps check their inputs and their
+limit before the first cell: verify-recursion refuses an s, --threads,
+--budget or --n-max out of range (2) and an --n-max whose largest direct
+count, n_max^(s+1) cells, is above --budget (3); verify-lemma4 checks s and
+k, then --u-max, then its cell limit.
 """
 
 from __future__ import annotations
@@ -32,16 +36,18 @@ from .coprime import (
     BudgetError,
     ConstraintError,
     ConstraintVector,
+    _check_work,
     count_tuples,
 )
 from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
+    _validate_order,
     constraint_factor,
     limiting_density,
     mobius_ratio_identity,
 )
-from .recursion import verify_recursion
+from .recursion import _verify
 from .stats import convergence_table, monte_carlo
 
 __all__ = ["main"]
@@ -125,6 +131,9 @@ def _run_converge(inp: dict) -> tuple[dict, int]:
 
 def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
     s, k, u_max = inp["s"], inp["k"], inp["u_max"]
+    _validate_order(s, k)
+    if u_max < 0:
+        raise ValueError(f"--u-max must be nonnegative, got {u_max}")
     if u_max * (k - 1) > MAX_LEMMA4_CELLS:
         raise BudgetError(f"{u_max * (k - 1)} lemma 4 cells exceed the limit of {MAX_LEMMA4_CELLS}")
     cells, failed = 0, []
@@ -136,14 +145,17 @@ def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
 
 
 def _run_verify_recursion(inp: dict) -> tuple[dict, int]:
-    constraint, work, reports = _resolve_constraint(inp), _work(inp), []
-    for n in range(1, inp["n_max"] + 1):
-        try:
-            rep = verify_recursion(inp["s"], constraint, n, **work)
-        except (ArithmeticError, ConstraintError) as exc:
-            # the shift operators disagree: the recursion itself failed
-            raise _VerificationFailure(f"n = {n}: {exc}") from exc
-        reports.append({name: getattr(rep, name) for name in _REPORT})
+    s, constraint, work, reports = inp["s"], _resolve_constraint(inp), _work(inp), []
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    # the last direct count, over [1, n_max]^(s+1), is the sweep's largest
+    _check_work(s + 1, inp["n_max"], **work)
+    try:
+        for rep in _verify(s, constraint, range(1, inp["n_max"] + 1), **work):
+            reports.append({name: getattr(rep, name) for name in _REPORT})
+    except (ArithmeticError, ConstraintError) as exc:
+        # the shift operators disagree: the recursion itself failed
+        raise _VerificationFailure(f"n = {len(reports) + 1}: {exc}") from exc
     failures = sum(not r["passed"] for r in reports)
     return {"cells": len(reports), "failures": failures, "reports": reports}, 1 if failures else 0
 

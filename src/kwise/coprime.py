@@ -11,7 +11,7 @@ subset-gcd form is kept to the test suite as an independent oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -193,7 +193,17 @@ def _picks(sizes: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], int
     )
 
 
-def _count_mobius(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> int:
+# states one memo holds before it is cleared: one count at the default budget
+# visits at most a few thousand, and a verify-recursion sweep reuses states
+# mostly across nearby n.  The largest sweep the default budget admits took,
+# on 2 vCPUs, 7-9 s and 22 MB at this cap, 7 s and 90 MB unbounded, and
+# 17 s and 18 MB with a memo per count
+MAX_MEMO_STATES = 1 << 14
+
+
+def _count_mobius(
+    s: int, k: int, caps: tuple[tuple[int, int], ...], n: int, memo: dict | None = None
+) -> int:
     """Exact count over [1, n]^s under the cap map `caps` (from _prime_caps).
 
     A prime p with cap c allows at most c entries divisible by it.  Over the
@@ -211,17 +221,37 @@ def _count_mobius(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> 
     A prime needs c + 1 coordinates with floor(n / d_i) >= p; past the last
     capped prime, the first prime short of k of them ends the walk, since
     larger primes have fewer still.
+
+    A state's value is the number of tuples with x_i <= m_i, m its sorted
+    values, under the caps of the primes from its next prime p0 up to
+    max(m), so the memo key names exactly those: m, the capped (p, cap)
+    pairs with p0 <= p <= max(m), and p0 itself when m holds k or more
+    values, since the default-cap primes of [p0, max(m)] then act too (with
+    fewer than k values none can).  The key holds no n and no cap map, so
+    counts at other n or under other cap maps reuse each other's states
+    when `memo` is passed in; its values carry the default cap k - 1, so a
+    memo serves one k only.  Without `memo` the count keeps its own.  The
+    memo is cleared when it holds MAX_MEMO_STATES states.
     """
     cap_of = dict(caps)
     default = k - 1
     capped = [p for p, _ in caps if p <= n]
     # a prime on the default cap needs k entries, so below s = k only capped primes count
     primes = sieve_primes(n) if s >= k else capped
+    if not primes:
+        return n**s
     last = capped[-1] if capped else 0
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    if memo is None:
+        memo = {}
 
     def total(start: int, ms: tuple[int, ...]) -> int:
-        key = (start, ms)
+        p0 = primes[start]
+        top = ms[-1]
+        key = (
+            ms,
+            caps[bisect_left(capped, p0) : bisect_right(capped, top)],
+            p0 if len(ms) >= k else 0,
+        )
         out = memo.get(key)
         if out is not None:
             return out
@@ -249,16 +279,28 @@ def _count_mobius(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> 
                     out += weight * prod(child)
                 else:
                     out += weight * total(j + 1, tuple(child))
+        if len(memo) >= MAX_MEMO_STATES:
+            memo.clear()
         memo[key] = out
         return out
 
-    return total(0, (n,) * s if n > 1 else ())
+    return total(0, (n,) * s)
 
 
 def _count_caps(
-    s: int, k: int, caps: tuple[tuple[int, int], ...], n: int, *, strategy: str = "signature"
+    s: int,
+    k: int,
+    caps: tuple[tuple[int, int], ...],
+    n: int,
+    *,
+    strategy: str = "signature",
+    memo: dict | None = None,
 ) -> int:
-    """Counting core of count_tuples and verify_recursion, on a cap map and inputs they checked."""
+    """Counting core of count_tuples and verify_recursion, on a cap map and inputs they checked.
+
+    memo, for the signature strategy only, is the engine memo that
+    _count_mobius shares across calls at one k.
+    """
     if n == 0:
         return 0
     if strategy == "naive":
@@ -268,7 +310,25 @@ def _count_caps(
             for t in product(range(1, n + 1), repeat=s)
             if _within_caps((factorize(v).primes() for v in t), cap_of, k - 1)
         )
-    return _count_mobius(s, k, caps, n)
+    return _count_mobius(s, k, caps, n, memo)
+
+
+def _check_work(s: int, n: int, threads: int, budget: int) -> None:
+    """Refuse a count over [1, n]^s before any work: bad arguments, or n**s above `budget`.
+
+    The one budget check, shared by count_tuples and the verify-recursion
+    command, which checks its sweep's largest direct count before its first.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if n**s > budget:
+        raise BudgetError(f"enumeration volume n^s = {n**s} exceeds the budget of {budget} cells")
 
 
 def count_tuples(
@@ -286,23 +346,13 @@ def count_tuples(
     per-prime caps over squarefree divisor vectors (see _count_mobius);
     "naive" enumerates every tuple and evaluates the predicate, as a
     cross-check, both on the cap map derived here once.  Both refuse to start
-    when n**s exceeds `budget`, which must be nonnegative and is checked here
-    and nowhere else.
-    Counting is serial: `threads`, checked here, must be at least 1 and
+    when n**s exceeds `budget`, which must be nonnegative (_check_work).
+    Counting is serial: `threads`, checked there too, must be at least 1 and
     starts no workers.
     """
     _check_constraint(constraint)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     if strategy not in ("signature", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    if n**s > budget:
-        raise BudgetError(f"enumeration volume n^s = {n**s} exceeds the budget of {budget} cells")
+    _check_work(s, n, threads, budget)
     caps = _prime_caps(constraint.moduli)
     return _count_caps(s, constraint.k, caps, n, strategy=strategy)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable, Iterator
 
 from .arith import co_part, tight_part
 from .coprime import (
@@ -121,6 +122,61 @@ class RecursionReport:
         return self.lhs == self.rhs_reduced == self.rhs_raw
 
 
+def _verify(
+    s: int,
+    constraint: ConstraintVector,
+    ns: Iterable[int],
+    *,
+    threads: int = 1,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[RecursionReport]:
+    """One RecursionReport per n of `ns`, in order, from one sweep that keeps its work.
+
+    Both shifts of each j, with their cap maps, are derived once, when the
+    sweep first reaches an n >= j.  All the shifted counts share one engine
+    memo, scoped to this sweep (one s, one k) and bounded by
+    coprime.MAX_MEMO_STATES, so a count at n reuses the states of counts at
+    other n (see _count_mobius for its key).  Each n is checked by its
+    direct count, before any work at that n.
+    """
+    _check_constraint(constraint)
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    k = constraint.k
+    u1 = constraint.moduli[0]
+    # (reduced, raw) cap maps of j = 1, 2, ...; None where j shares a factor with u_1
+    shifts: list[tuple | None] = []
+    memo: dict = {}
+    for n in ns:
+        lhs = count_tuples(s + 1, constraint, n, threads=threads, budget=budget)
+        for j in range(len(shifts) + 1, n + 1):
+            if gcd(j, u1) != 1:
+                shifts.append(None)
+                continue
+            reduced = _prime_caps(reduce_constraint(j, constraint).moduli)
+            raw = _prime_caps(reduce_constraint_raw(j, constraint).moduli)
+            shifts.append((reduced, raw))
+        counts: dict[tuple[tuple[int, int], ...], int] = {}
+        rhs_reduced = rhs_raw = 0
+        for pair in shifts[:n]:
+            if pair is None:
+                continue
+            for caps in pair:
+                if caps not in counts:
+                    counts[caps] = _count_caps(s, k, caps, n, memo=memo)
+            rhs_reduced += counts[pair[0]]
+            rhs_raw += counts[pair[1]]
+        yield RecursionReport(
+            s=s,
+            k=k,
+            n=n,
+            moduli=constraint.moduli,
+            lhs=lhs,
+            rhs_reduced=rhs_reduced,
+            rhs_raw=rhs_raw,
+        )
+
+
 def verify_recursion(
     s: int,
     constraint: ConstraintVector,
@@ -138,42 +194,14 @@ def verify_recursion(
     The s-tuple counts are shared: each shift's cap map (_prime_caps) is
     derived once and serves both as the key of the shared counts and as the
     counting engine's input, so each distinct cap map is counted once per
-    call, whichever shift or j produced it.  The reduced and the raw shift of
+    n, whichever shift or j produced it.  The reduced and the raw shift of
     one j are looked up separately, and counted separately when their maps
     differ.  When the maps agree, a second count would run the same
     deterministic engine on identical caps and could not disagree with the
     first, so sharing it gives up no check.  Only the direct count carries
     the budget: it checks n**(s+1), which bounds every shifted count's n**s.
+
+    This is the sweep of _verify over the single n; the verify-recursion
+    command runs that sweep over n = 1..N, so the two share one code path.
     """
-    _check_constraint(constraint)
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    k = constraint.k
-    lhs = count_tuples(s + 1, constraint, n, threads=threads, budget=budget)
-    counts: dict[tuple[tuple[int, int], ...], int] = {}
-
-    def shifted_count(moduli: tuple[int, ...]) -> int:
-        caps = _prime_caps(moduli)
-        if caps not in counts:
-            counts[caps] = _count_caps(s, k, caps, n)
-        return counts[caps]
-
-    rhs_reduced = 0
-    rhs_raw = 0
-    u1 = constraint.moduli[0]
-    for j in range(1, n + 1):
-        if gcd(j, u1) != 1:
-            continue
-        rhs_reduced += shifted_count(reduce_constraint(j, constraint).moduli)
-        rhs_raw += shifted_count(reduce_constraint_raw(j, constraint).moduli)
-    return RecursionReport(
-        s=s,
-        k=k,
-        n=n,
-        moduli=constraint.moduli,
-        lhs=lhs,
-        rhs_reduced=rhs_reduced,
-        rhs_raw=rhs_raw,
-    )
+    return next(_verify(s, constraint, (n,), threads=threads, budget=budget))

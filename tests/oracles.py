@@ -126,8 +126,9 @@ def verify_recursion_unshared(s, constraint, n):
     """(lhs, rhs_reduced, rhs_raw) of verify_recursion with no count shared.
 
     Not independent of the package: it runs the same shifts and counting
-    engine, but counts both shifts of every j afresh, as verify_recursion
-    did before it counted each distinct cap map once.
+    engine, but counts both shifts of every j afresh, each count with its
+    own engine memo, as verify_recursion did before it counted each distinct
+    cap map once and before a sweep's counts shared their states.
     """
     from kwise.coprime import _count_caps, _prime_caps, count_tuples
     from kwise.recursion import reduce_constraint, reduce_constraint_raw

@@ -160,6 +160,24 @@ def test_validation_exit_code_and_message(capsys):
         code, out, err = run_cli(capsys, "verify-lemma4", "--s", "2", "--k", k)
         assert (code, out) == (2, "")
         assert err == f"error[validation]: k must be at least 2, got {k}\n"
+    # an empty sweep, and one above the cell limit, are checked for the order first
+    for argv, message in (
+        (("--s", "2", "--k", "1", "--u-max", "0"), "k must be at least 2, got 1"),
+        (("--s", "0", "--k", "2", "--u-max", "2000000"), "s must be at least 1, got 0"),
+        (("--s", "2", "--k", "2", "--u-max", "-1"), "--u-max must be nonnegative, got -1"),
+    ):
+        code, out, err = run_cli(capsys, "verify-lemma4", *argv)
+        assert (code, out, err) == (2, "", f"error[validation]: {message}\n")
+
+    # a verify-recursion sweep is refused before its first count
+    for argv, message in (
+        (("--n-max", "-3"), "n must be nonnegative, got -3"),
+        (("--n-max", "5", "--s", "0"), "s must be at least 1, got 0"),
+        (("--n-max", "5", "--threads", "0"), "threads must be at least 1, got 0"),
+        (("--n-max", "5", "--budget", "-1"), "budget must be nonnegative, got -1"),
+    ):
+        code, out, err = run_cli(capsys, "verify-recursion", "--s", "2", "--u", "5,6", *argv)
+        assert (code, out, err) == (2, "", f"error[validation]: {message}\n")
 
 
 def test_budget_exit_code(capsys):
@@ -221,6 +239,29 @@ def test_lemma4_sweep_above_the_limit_refused_before_work(monkeypatch, capsys):
     assert err == (
         f"error[budget]: {cells} lemma 4 cells exceed the limit of {cli.MAX_LEMMA4_CELLS}\n"
     )
+
+
+def test_recursion_sweep_above_the_budget_refused_before_work(monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise AssertionError("the sweep was started")
+
+    for name in ("count_tuples", "_count_caps", "reduce_constraint", "reduce_constraint_raw"):
+        monkeypatch.setattr(recursion, name, started)
+    argv = ("verify-recursion", "--s", "2", "--u", "5,6", "--n-max", "1000")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error[budget]: enumeration volume n^s = {1000**3} exceeds the budget of "
+        f"{coprime.DEFAULT_BUDGET} cells\n"
+    )
+
+
+def test_recursion_sweep_at_the_budget_runs(capsys):
+    argv = ("verify-recursion", "--s", "1", "--k", "2", "--n-max", "10")
+    code, out, _ = run_cli(capsys, *argv, "--budget", "100")
+    assert code == 0 and json.loads(out)["result"]["cells"] == 10
+    code, out, err = run_cli(capsys, *argv, "--budget", "99")
+    assert (code, out) == (3, "") and err.startswith("error[budget]: enumeration volume n^s = 100")
 
 
 def test_lemma4_sweep_at_the_limit_runs(monkeypatch, capsys):
@@ -289,6 +330,8 @@ def test_caches_are_bounded():
     # the process holds at most one prime table
     assert arith._sieve.cache_info().maxsize == 1
     assert coprime._picks.cache_info().maxsize is not None
+    # the engine memo lives for one count or one verify-recursion sweep, and is capped there
+    assert 0 < coprime.MAX_MEMO_STATES <= 1 << 16
 
 
 def test_refused_modulus_is_refused_again(capsys):
@@ -386,13 +429,14 @@ def test_verify_recursion_passes(capsys):
 
 def test_verification_failure_exit_code(monkeypatch, capsys):
     # force a failing report through the reporting path
-    def fake_verify(s, constraint, n, threads=1, budget=0):
-        return RecursionReport(
-            s=s, k=constraint.k, n=n, moduli=constraint.moduli,
-            lhs=10, rhs_reduced=10, rhs_raw=9,
-        )
+    def fake_sweep(s, constraint, ns, threads=1, budget=0):
+        for n in ns:
+            yield RecursionReport(
+                s=s, k=constraint.k, n=n, moduli=constraint.moduli,
+                lhs=10, rhs_reduced=10, rhs_raw=9,
+            )
 
-    monkeypatch.setattr(cli, "verify_recursion", fake_verify)
+    monkeypatch.setattr(cli, "_verify", fake_sweep)
     code, out, _ = run_cli(capsys, "verify-recursion", "--s", "1", "--k", "2", "--n-max", "2")
     assert code == 1
     doc = json.loads(out)

@@ -7,7 +7,9 @@ the gcd evaluator also on moduli of 2^63 and above, for additivity over
 splits of its rows and for invariance under their permutations, the
 Mobius-expansion counter against enumeration and the naive counter and
 across the reduced and raw constraint shifts (which also give the same
-caps, so verify_recursion may share their counts), the weight-based
+caps, so verify_recursion may share their counts), with one engine memo
+shared across interleaved counts and across a verify-recursion sweep,
+the weight-based
 formulas against their plain Fraction definitions, and the fixed-point
 interval product against the exact Fraction product and across prime
 limits.
@@ -28,6 +30,7 @@ from kwise.arith import sieve_primes
 from kwise.coprime import (
     ConstraintVector,
     _count_caps,
+    _count_mobius,
     _prime_caps,
     count_tuples,
     satisfies_constraint,
@@ -41,7 +44,7 @@ from kwise.density import (
     mobius_sum_weight,
     tail_fraction,
 )
-from kwise.recursion import reduce_constraint, reduce_constraint_raw, verify_recursion
+from kwise.recursion import _verify, reduce_constraint, reduce_constraint_raw, verify_recursion
 from kwise.stats import _hits
 from oracles import (
     binomial_tail_local_factor,
@@ -128,6 +131,31 @@ def test_shared_counts_match_unshared_recursion(cv, s, data):
     n = data.draw(st.integers(0, {1: 30, 2: 30, 3: 20}[s]), label="n")
     rep = verify_recursion(s, cv, n)
     assert (rep.lhs, rep.rhs_reduced, rep.rhs_raw) == verify_recursion_unshared(s, cv, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(constraints(max_k=4), st.integers(1, 3), st.data())
+def test_sweep_reports_match_unshared_recursion(cv, s, data):
+    """Every report of one sweep, whose shifted counts share one engine memo."""
+    n_max = data.draw(st.integers(0, 30), label="N")
+    reports = list(_verify(s, cv, range(1, n_max + 1)))
+    assert [r.n for r in reports] == list(range(1, n_max + 1))
+    for rep in reports:
+        assert (rep.lhs, rep.rhs_reduced, rep.rhs_raw) == verify_recursion_unshared(s, cv, rep.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_shared_memo_counts_like_fresh_memos(k, s, data):
+    """Interleaved (cap map, n) counts at one (s, k), relaxed moduli as the raw shift makes."""
+    moduli = st.lists(st.integers(1, 60), min_size=k - 1, max_size=k - 1).map(tuple)
+    n = st.integers(0, ENGINE_N_MAX[s])
+    calls = data.draw(st.lists(st.tuples(moduli, n), min_size=1, max_size=8), label="calls")
+    memo = {}
+    for u, n in calls:
+        caps = _prime_caps(u)
+        got = _count_mobius(s, k, caps, n, memo)
+        assert got == _count_mobius(s, k, caps, n) == count_by_enumeration(s, k, u, n)
 
 
 # entries near 2^62 sharing 2, 3, 5, 7 or the prime 2^31 - 1

@@ -8,16 +8,18 @@ from kwise.coprime import (
     BudgetError,
     ConstraintVector,
     _count_caps,
+    _count_mobius,
     _prime_caps,
     count_tuples,
 )
 from kwise.recursion import (
     RecursionReport,
+    _verify,
     reduce_constraint,
     reduce_constraint_raw,
     verify_recursion,
 )
-from oracles import constraint_ok
+from oracles import constraint_ok, verify_recursion_unshared
 
 
 def test_raw_shift_examples():
@@ -186,3 +188,85 @@ def test_cap_map_is_derived_once(monkeypatch):
     verify_recursion(2, ConstraintVector((5, 6)), 30)
     # one for the direct count, one per shift of each j coprime to u_1 = 5
     assert calls == 1 + 2 * sum(1 for j in range(1, 31) if gcd(j, 5) == 1) == 49
+
+
+def test_sweep_derives_each_shift_once_and_counts_each_map_once_per_n(monkeypatch):
+    s, c, n_max = 2, ConstraintVector((5, 6)), 100
+    derived = 0
+    prime_caps = coprime._prime_caps
+
+    def deriving(moduli):
+        nonlocal derived
+        derived += 1
+        return prime_caps(moduli)
+
+    counted = []
+
+    def counting(s_, k, caps, n, **kwargs):
+        counted.append((n, caps))
+        return _count_caps(s_, k, caps, n, **kwargs)
+
+    monkeypatch.setattr(coprime, "_prime_caps", deriving)
+    monkeypatch.setattr(recursion, "_prime_caps", deriving)
+    monkeypatch.setattr(recursion, "_count_caps", counting)
+    reports = list(_verify(s, c, range(1, n_max + 1)))
+    assert [r.n for r in reports] == list(range(1, n_max + 1))
+    assert all(r.passed for r in reports)
+    coprime_j = [j for j in range(1, n_max + 1) if gcd(j, 5) == 1]
+    # one for each direct count, one per shift of each j coprime to u_1 = 5
+    assert derived == n_max + 2 * len(coprime_j) == 260
+    maps = {
+        j: {prime_caps(shift(j, c).moduli) for shift in (reduce_constraint, reduce_constraint_raw)}
+        for j in coprime_j
+    }
+    # the counts a call per n makes: each distinct cap map of the j <= n once
+    per_n = [(n, set().union(*(maps[j] for j in coprime_j if j <= n))) for n in range(1, n_max + 1)]
+    assert sorted(counted) == sorted((n, caps) for n, distinct in per_n for caps in distinct)
+
+
+def test_sweep_reports_match_calls_per_n():
+    c = ConstraintVector((3, 2))
+    sweep = list(_verify(2, c, range(0, 25)))
+    assert sweep == [verify_recursion(2, c, n) for n in range(0, 25)]
+    # any order and repeats: each report depends on its n alone
+    ns = (9, 3, 17, 3, 0, 12)
+    assert list(_verify(2, c, ns)) == [sweep[n] for n in ns]
+
+
+def test_sweeps_at_two_orders_keep_their_own_states():
+    # a memo that outlived its sweep would hand k = 3 the states of k = 2,
+    # whose default cap is lower
+    for s in (2, 3):
+        for k in (2, 3, 2):
+            c = ConstraintVector.trivial(k)
+            for rep in _verify(s, c, range(1, 16)):
+                got = (rep.lhs, rep.rhs_reduced, rep.rhs_raw)
+                assert got == verify_recursion_unshared(s, c, rep.n), (s, k, rep.n)
+
+
+class _CheckedMemo(dict):
+    """An engine memo that fails the test once it holds more than MAX_MEMO_STATES states."""
+
+    largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        assert len(self) <= coprime.MAX_MEMO_STATES
+        self.largest = max(self.largest, len(self))
+
+
+def test_memo_cap_bounds_the_memo_and_changes_no_count(monkeypatch):
+    s, c, n_max = 2, ConstraintVector((5, 6)), 60
+    want = list(_verify(s, c, range(1, n_max + 1)))
+    calls = [
+        (caps, n)
+        for n in range(20, 61, 7)
+        for caps in ((), ((2, 0),), ((3, 1), (5, 0)), ((2, 1), (7, 0), (11, 0)))
+    ]
+    fresh = [_count_mobius(3, 3, caps, n) for caps, n in calls]
+    monkeypatch.setattr(coprime, "MAX_MEMO_STATES", 16)
+    assert list(_verify(s, c, range(1, n_max + 1))) == want
+    memo = _CheckedMemo()
+    assert [_count_mobius(3, 3, caps, n, memo) for caps, n in calls] == fresh
+    # the memo filled up, so it was cleared on the way
+    assert memo.largest == 16
