@@ -201,10 +201,14 @@ def _picks(sizes: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], int
 MAX_MEMO_STATES = 1 << 14
 
 
-def _count_mobius(
+def _count_caps(
     s: int, k: int, caps: tuple[tuple[int, int], ...], n: int, memo: dict | None = None
 ) -> int:
     """Exact count over [1, n]^s under the cap map `caps` (from _prime_caps).
+
+    The one counting engine.  It checks nothing: each request checks its
+    counts first (_check_work) and derives its cap map once.  At n = 0 the
+    walk finds no prime and returns 0**s = 0.
 
     A prime p with cap c allows at most c entries divisible by it.  Over the
     coordinates T it divides, that indicator expands into weights h(|T|) with
@@ -227,11 +231,11 @@ def _count_mobius(
     max(m), so the memo key names exactly those: m, the capped (p, cap)
     pairs with p0 <= p <= max(m), and p0 itself when m holds k or more
     values, since the default-cap primes of [p0, max(m)] then act too (with
-    fewer than k values none can).  The key holds no n and no cap map, so
-    counts at other n or under other cap maps reuse each other's states
-    when `memo` is passed in; its values carry the default cap k - 1, so a
-    memo serves one k only.  Without `memo` the count keeps its own.  The
-    memo is cleared when it holds MAX_MEMO_STATES states.
+    fewer than k values none can).  The key holds no n, no s and no cap
+    map, so counts at other n, other s or under other cap maps reuse each
+    other's states when `memo` is passed in; its values carry the default
+    cap k - 1, so a memo serves one k only.  Without `memo` the count keeps
+    its own.  The memo is cleared when it holds MAX_MEMO_STATES states.
     """
     cap_of = dict(caps)
     default = k - 1
@@ -287,37 +291,22 @@ def _count_mobius(
     return total(0, (n,) * s)
 
 
-def _count_caps(
-    s: int,
-    k: int,
-    caps: tuple[tuple[int, int], ...],
-    n: int,
-    *,
-    strategy: str = "signature",
-    memo: dict | None = None,
-) -> int:
-    """Counting core of count_tuples and verify_recursion, on a cap map and inputs they checked.
-
-    memo, for the signature strategy only, is the engine memo that
-    _count_mobius shares across calls at one k.
-    """
-    if n == 0:
-        return 0
-    if strategy == "naive":
-        cap_of = dict(caps)
-        return sum(
-            1
-            for t in product(range(1, n + 1), repeat=s)
-            if _within_caps((factorize(v).primes() for v in t), cap_of, k - 1)
-        )
-    return _count_mobius(s, k, caps, n, memo)
+def _count_naive(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> int:
+    """Enumerate [1, n]^s and count the tuples the cap evaluator accepts: the cross-check."""
+    cap_of = dict(caps)
+    return sum(
+        1
+        for t in product(range(1, n + 1), repeat=s)
+        if _within_caps((factorize(v).primes() for v in t), cap_of, k - 1)
+    )
 
 
 def _check_work(s: int, n: int, threads: int, budget: int) -> None:
     """Refuse a count over [1, n]^s before any work: bad arguments, or n**s above `budget`.
 
-    The one budget check, shared by count_tuples and the verify-recursion
-    command, which checks its sweep's largest direct count before its first.
+    The one budget check of every exact count: count_tuples, each direct
+    count of a verify-recursion sweep (whose command checks the largest
+    before the first) and each entry of a convergence grid.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -342,9 +331,9 @@ def count_tuples(
 ) -> int:
     """Exact number of tuples in [1, n]^s satisfying the constraint.
 
-    The default "signature" strategy sums the Mobius expansion of the
-    per-prime caps over squarefree divisor vectors (see _count_mobius);
-    "naive" enumerates every tuple and evaluates the predicate, as a
+    The entry for a single count.  The default "signature" strategy runs the
+    Mobius-expansion engine (_count_caps) with a memo of its own; "naive"
+    enumerates every tuple and evaluates the predicate (_count_naive), as a
     cross-check, both on the cap map derived here once.  Both refuse to start
     when n**s exceeds `budget`, which must be nonnegative (_check_work).
     Counting is serial: `threads`, checked there too, must be at least 1 and
@@ -354,5 +343,5 @@ def count_tuples(
     if strategy not in ("signature", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
     _check_work(s, n, threads, budget)
-    caps = _prime_caps(constraint.moduli)
-    return _count_caps(s, constraint.k, caps, n, strategy=strategy)
+    count = _count_naive if strategy == "naive" else _count_caps
+    return count(s, constraint.k, _prime_caps(constraint.moduli), n)

@@ -20,10 +20,11 @@ from .coprime import (
     ConstraintError,
     ConstraintVector,
     _check_constraint,
+    _check_work,
     _count_caps,
     _prime_caps,
     _RelaxedModuli,
-    count_tuples,
+    count_tuples,  # not called here; bench/probes.py and the CLI tests patch it by name
 )
 
 __all__ = [
@@ -132,23 +133,30 @@ def _verify(
 ) -> Iterator[RecursionReport]:
     """One RecursionReport per n of `ns`, in order, from one sweep that keeps its work.
 
-    Both shifts of each j, with their cap maps, are derived once, when the
-    sweep first reaches an n >= j.  All the shifted counts share one engine
-    memo, scoped to this sweep (one s, one k) and bounded by
-    coprime.MAX_MEMO_STATES, so a count at n reuses the states of counts at
-    other n (see _count_mobius for its key).  Each n is checked by its
-    direct count, before any work at that n.
+    Each n is checked by _check_work on its direct count, before any work at
+    that n; n**(s+1) bounds every shifted count's n**s, so only the direct
+    count carries the budget.  The direct cap map is derived once per sweep,
+    and both shifts of each j, with their cap maps, once, when the sweep
+    first reaches an n >= j.  Each distinct shifted cap map is counted once
+    per n, whichever shift or j produced it: a second count would run the
+    same deterministic engine on identical caps and could not disagree with
+    the first, so sharing it gives up no check.  Every count, direct and
+    shifted, shares one engine memo, scoped to this sweep (one k) and bounded
+    by coprime.MAX_MEMO_STATES, so a count reuses the states of counts at
+    other n and at the other s (see _count_caps for its key).
     """
     _check_constraint(constraint)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     k = constraint.k
     u1 = constraint.moduli[0]
+    direct = _prime_caps(constraint.moduli)
     # (reduced, raw) cap maps of j = 1, 2, ...; None where j shares a factor with u_1
     shifts: list[tuple | None] = []
     memo: dict = {}
     for n in ns:
-        lhs = count_tuples(s + 1, constraint, n, threads=threads, budget=budget)
+        _check_work(s + 1, n, threads, budget)
+        lhs = _count_caps(s + 1, k, direct, n, memo=memo)
         for j in range(len(shifts) + 1, n + 1):
             if gcd(j, u1) != 1:
                 shifts.append(None)
@@ -156,16 +164,11 @@ def _verify(
             reduced = _prime_caps(reduce_constraint(j, constraint).moduli)
             raw = _prime_caps(reduce_constraint_raw(j, constraint).moduli)
             shifts.append((reduced, raw))
-        counts: dict[tuple[tuple[int, int], ...], int] = {}
-        rhs_reduced = rhs_raw = 0
-        for pair in shifts[:n]:
-            if pair is None:
-                continue
-            for caps in pair:
-                if caps not in counts:
-                    counts[caps] = _count_caps(s, k, caps, n, memo=memo)
-            rhs_reduced += counts[pair[0]]
-            rhs_raw += counts[pair[1]]
+        pairs = [pair for pair in shifts[:n] if pair is not None]
+        maps = dict.fromkeys(caps for pair in pairs for caps in pair)
+        counts = {caps: _count_caps(s, k, caps, n, memo=memo) for caps in maps}
+        rhs_reduced = sum(counts[reduced] for reduced, _ in pairs)
+        rhs_raw = sum(counts[raw] for _, raw in pairs)
         yield RecursionReport(
             s=s,
             k=k,
@@ -190,16 +193,6 @@ def verify_recursion(
     Sums over the last coordinate j in [1, n]; values of j sharing a factor
     with u_1 contribute nothing (the pair j, u_1 alone would violate the
     constraint) and are skipped.  Exact integer comparison throughout.
-
-    The s-tuple counts are shared: each shift's cap map (_prime_caps) is
-    derived once and serves both as the key of the shared counts and as the
-    counting engine's input, so each distinct cap map is counted once per
-    n, whichever shift or j produced it.  The reduced and the raw shift of
-    one j are looked up separately, and counted separately when their maps
-    differ.  When the maps agree, a second count would run the same
-    deterministic engine on identical caps and could not disagree with the
-    first, so sharing it gives up no check.  Only the direct count carries
-    the budget: it checks n**(s+1), which bounds every shifted count's n**s.
 
     This is the sweep of _verify over the single n; the verify-recursion
     command runs that sweep over n = 1..N, so the two share one code path.

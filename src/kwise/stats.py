@@ -24,7 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .coprime import DEFAULT_BUDGET, BudgetError, ConstraintVector, _check_constraint, count_tuples
+from .coprime import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    ConstraintVector,
+    _check_constraint,
+    _check_work,
+    _count_caps,
+    _prime_caps,
+)
 from .density import (
     DEFAULT_PRECISION,
     DEFAULT_PRIME_LIMIT,
@@ -91,19 +99,27 @@ def convergence_table(
     threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> list[CountReport]:
-    """Exact counts over an n-grid, each compared to the density prediction."""
+    """Exact counts over an n-grid, each compared to the density prediction.
+
+    Every grid entry is checked (_check_work), in grid order, before the
+    density or any count is computed, so an over-budget entry is refused
+    before any work.  The counts share one cap map and one engine memo.
+    """
     grid = [int(n) for n in n_grid]
     if not grid:
         raise ValueError("n_grid must contain at least one value")
     for n in grid:
         if n < 1:
             raise ValueError(f"grid entries must be positive integers, got {n}")
+    for n in grid:
+        _check_work(s, n, threads, budget)
     enclosure = limiting_density(s, constraint, prime_limit, precision)
     density = float(enclosure.point)
-    d = error_log_exponent(s, constraint.k)
-    out = []
+    k = constraint.k
+    d = error_log_exponent(s, k)
+    caps, memo, out = _prime_caps(constraint.moduli), {}, []
     for n in grid:
-        count = count_tuples(s, constraint, n, threads=threads, budget=budget)
+        count = _count_caps(s, k, caps, n, memo=memo)
         predicted = density * float(n) ** s
         abs_error = abs(count - predicted)
         denom = float(n) ** (s - 1) * math.log(n) ** d

@@ -256,6 +256,22 @@ def test_recursion_sweep_above_the_budget_refused_before_work(monkeypatch, capsy
     )
 
 
+def test_converge_grid_above_the_budget_refused_before_work(monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise AssertionError("the density or a count was started")
+
+    monkeypatch.setattr(stats, "limiting_density", started)
+    monkeypatch.setattr(stats, "_count_caps", started)
+    # the first entry is within the budget: every entry is checked before any count
+    argv = ("converge", "--s", "2", "--k", "2", "--grid", "10,100000", "--prime-limit", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error[budget]: enumeration volume n^s = {100000**2} exceeds the budget of "
+        f"{coprime.DEFAULT_BUDGET} cells\n"
+    )
+
+
 def test_recursion_sweep_at_the_budget_runs(capsys):
     argv = ("verify-recursion", "--s", "1", "--k", "2", "--n-max", "10")
     code, out, _ = run_cli(capsys, *argv, "--budget", "100")
@@ -516,6 +532,28 @@ def test_disagreeing_shift_operators_exit_as_verification_failure(monkeypatch, c
         capsys, "verify-recursion", "--s", "2", "--u", "4,6", "--n-max", "10", "--threads", "1"
     )
     assert code == 2 and out == "" and err.startswith("error[validation]:")
+
+
+def test_non_integral_middle_component_exits_as_verification_failure(monkeypatch, capsys):
+    # at k = 4 the reduced shift has a middle component, u_2 * gcd(j, u_3) / tight_part(j, u_2)
+    monkeypatch.setattr(recursion, "tight_part", lambda a, b: 7)
+    code, out, err = run_cli(capsys, "verify-recursion", "--s", "1", "--u", "1,1,1", "--n-max", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[verification]: n = 1: component 2 of the reduced shift is not integral: 1/7\n"
+    )
+
+
+def test_reduced_shift_sharing_a_prime_exits_as_verification_failure(monkeypatch, capsys):
+    # with nothing divided out, the shift of j = 2 into (5, 6) is (10, 12)
+    monkeypatch.setattr(recursion, "tight_part", lambda a, b: 1)
+    monkeypatch.setattr(recursion, "co_part", lambda a, b: 1)
+    code, out, err = run_cli(capsys, "verify-recursion", "--s", "1", "--u", "5,6", "--n-max", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[verification]: n = 2: reduced shift of j = 2 into (5, 6) is not pairwise "
+        "coprime: moduli must be pairwise coprime: gcd(u_1, u_2) = 2 for u_1 = 10, u_2 = 12\n"
+    )
 
 
 def test_import_leaves_numpy_out():

@@ -160,6 +160,15 @@ def test_mobius_sum_weight_values():
     assert mobius_sum_weight(3, 1, 6) == (1 + 3) * (2 + 3)
 
 
+def test_mobius_sum_weight_validation():
+    with pytest.raises(ValueError, match=r"^s must be at least 1, got 0$"):
+        mobius_sum_weight(0, 1, 6)
+    with pytest.raises(ValueError, match=r"^i must be at least 1, got 0$"):
+        mobius_sum_weight(2, 0, 6)
+    with pytest.raises(ValueError, match=r"^d must be a positive integer, got 0$"):
+        mobius_sum_weight(2, 1, 0)
+
+
 def test_mobius_sum_weight_integer_on_squarefree():
     for s in (1, 2, 3, 4):
         for i in (1, 2, 3):

@@ -30,7 +30,7 @@ from kwise.arith import sieve_primes
 from kwise.coprime import (
     ConstraintVector,
     _count_caps,
-    _count_mobius,
+    _count_naive,
     _prime_caps,
     count_tuples,
     satisfies_constraint,
@@ -103,7 +103,7 @@ def test_engine_matches_enumeration_and_naive(cv, s, data):
     caps = _prime_caps(moduli)
     got = _count_caps(s, cv.k, caps, n)
     assert got == count_by_enumeration(s, cv.k, moduli, n)
-    assert got == _count_caps(s, cv.k, caps, n, strategy="naive")
+    assert got == _count_naive(s, cv.k, caps, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,17 +145,22 @@ def test_sweep_reports_match_unshared_recursion(cv, s, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 3), st.data())
-def test_shared_memo_counts_like_fresh_memos(k, s, data):
-    """Interleaved (cap map, n) counts at one (s, k), relaxed moduli as the raw shift makes."""
+@given(st.integers(2, 4), st.data())
+def test_shared_memo_counts_like_fresh_memos(k, data):
+    """Interleaved (s, cap map, n) counts at one k, relaxed moduli as the raw shift makes.
+
+    s is drawn for each call, so one memo serves several s, as a
+    verify-recursion sweep's serves its s-tuple and (s+1)-tuple counts.
+    """
     moduli = st.lists(st.integers(1, 60), min_size=k - 1, max_size=k - 1).map(tuple)
-    n = st.integers(0, ENGINE_N_MAX[s])
-    calls = data.draw(st.lists(st.tuples(moduli, n), min_size=1, max_size=8), label="calls")
     memo = {}
-    for u, n in calls:
+    for _ in range(data.draw(st.integers(1, 8), label="calls")):
+        s = data.draw(st.integers(1, 4), label="s")
+        u = data.draw(moduli, label="u")
+        n = data.draw(st.integers(0, ENGINE_N_MAX[s]), label="n")
         caps = _prime_caps(u)
-        got = _count_mobius(s, k, caps, n, memo)
-        assert got == _count_mobius(s, k, caps, n) == count_by_enumeration(s, k, u, n)
+        got = _count_caps(s, k, caps, n, memo=memo)
+        assert got == _count_caps(s, k, caps, n) == count_by_enumeration(s, k, u, n)
 
 
 # entries near 2^62 sharing 2, 3, 5, 7 or the prime 2^31 - 1

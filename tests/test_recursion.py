@@ -8,7 +8,6 @@ from kwise.coprime import (
     BudgetError,
     ConstraintVector,
     _count_caps,
-    _count_mobius,
     _prime_caps,
     count_tuples,
 )
@@ -152,7 +151,7 @@ def test_recursion_counts_each_cap_map_once(monkeypatch):
     counted = []
 
     def counting(s_, k, caps, n_, **kwargs):
-        counted.append(caps)
+        counted.append((s_, caps))
         return _count_caps(s_, k, caps, n_, **kwargs)
 
     monkeypatch.setattr(recursion, "_count_caps", counting)
@@ -164,6 +163,9 @@ def test_recursion_counts_each_cap_map_once(monkeypatch):
         if gcd(j, 5) == 1
         for shift in (reduce_constraint, reduce_constraint_raw)
     }
+    # one direct (s+1)-count, on the direct cap map, and each shifted map once
+    assert [caps for s_, caps in counted if s_ == s + 1] == [_prime_caps(c.moduli)]
+    counted = [caps for s_, caps in counted if s_ == s]
     assert sorted(counted) == sorted(maps)
     # fewer counts than the two per j the shifts would otherwise take
     assert len(counted) < 2 * sum(1 for j in range(1, n + 1) if gcd(j, 5) == 1)
@@ -203,7 +205,7 @@ def test_sweep_derives_each_shift_once_and_counts_each_map_once_per_n(monkeypatc
     counted = []
 
     def counting(s_, k, caps, n, **kwargs):
-        counted.append((n, caps))
+        counted.append((s_, n, caps))
         return _count_caps(s_, k, caps, n, **kwargs)
 
     monkeypatch.setattr(coprime, "_prime_caps", deriving)
@@ -213,8 +215,12 @@ def test_sweep_derives_each_shift_once_and_counts_each_map_once_per_n(monkeypatc
     assert [r.n for r in reports] == list(range(1, n_max + 1))
     assert all(r.passed for r in reports)
     coprime_j = [j for j in range(1, n_max + 1) if gcd(j, 5) == 1]
-    # one for each direct count, one per shift of each j coprime to u_1 = 5
-    assert derived == n_max + 2 * len(coprime_j) == 260
+    # one for the sweep's direct cap map, one per shift of each j coprime to u_1 = 5
+    assert derived == 1 + 2 * len(coprime_j) == 161
+    # one direct (s+1)-count per n, on the direct cap map
+    direct = [(n, caps) for s_, n, caps in counted if s_ == s + 1]
+    assert direct == [(n, prime_caps(c.moduli)) for n in range(1, n_max + 1)]
+    counted = [(n, caps) for s_, n, caps in counted if s_ == s]
     maps = {
         j: {prime_caps(shift(j, c).moduli) for shift in (reduce_constraint, reduce_constraint_raw)}
         for j in coprime_j
@@ -263,10 +269,10 @@ def test_memo_cap_bounds_the_memo_and_changes_no_count(monkeypatch):
         for n in range(20, 61, 7)
         for caps in ((), ((2, 0),), ((3, 1), (5, 0)), ((2, 1), (7, 0), (11, 0)))
     ]
-    fresh = [_count_mobius(3, 3, caps, n) for caps, n in calls]
+    fresh = [_count_caps(3, 3, caps, n) for caps, n in calls]
     monkeypatch.setattr(coprime, "MAX_MEMO_STATES", 16)
     assert list(_verify(s, c, range(1, n_max + 1))) == want
     memo = _CheckedMemo()
-    assert [_count_mobius(3, 3, caps, n, memo) for caps, n in calls] == fresh
+    assert [_count_caps(3, 3, caps, n, memo=memo) for caps, n in calls] == fresh
     # the memo filled up, so it was cleared on the way
     assert memo.largest == 16

@@ -69,6 +69,29 @@ def test_normalized_error_trend_is_flat_or_falling():
         assert slope <= 0, (s, k, slope, ys)
 
 
+def test_convergence_counts_share_one_cap_map_and_one_memo(monkeypatch):
+    c = ConstraintVector((5, 6))
+    want = [count_tuples(3, c, n) for n in (4, 9, 30)]
+    derived, memos = 0, []
+    prime_caps, count_caps = stats._prime_caps, stats._count_caps
+
+    def deriving(moduli):
+        nonlocal derived
+        derived += 1
+        return prime_caps(moduli)
+
+    def counting(s, k, caps, n, memo=None):
+        memos.append(memo)
+        return count_caps(s, k, caps, n, memo=memo)
+
+    monkeypatch.setattr(stats, "_prime_caps", deriving)
+    monkeypatch.setattr(stats, "_count_caps", counting)
+    rows = convergence_table(3, c, [4, 9, 30], prime_limit=100)
+    assert [r.count for r in rows] == want
+    assert derived == 1
+    assert len(memos) == 3 and all(m is memos[0] for m in memos) and memos[0] is not None
+
+
 def test_convergence_validation():
     c = ConstraintVector((1,))
     with pytest.raises(ValueError):
