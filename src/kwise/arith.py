@@ -1,14 +1,14 @@
 """Prime sieve, factorization and the small multiplicative functions.
 
 Everything here works on plain Python ints so results stay exact no matter
-how large the operands get.  Factorization and primality go by trial
-division and never sieve; the sieve keeps only its last table.
+how large the operands get.  A factorization is a plain tuple of
+ascending (prime, exponent) pairs.  Factorization and primality go by
+trial division and never sieve; the sieve keeps only its last table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 from math import isqrt
@@ -72,44 +72,22 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in _trial_divisors(n))
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ascending (prime, exponent) pairs.
-
-    The empty tuple represents 1.  ``entries`` is the canonical form; the
-    helpers below are the views everything else in the package needs.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def radical(self) -> int:
-        out = 1
-        for p, _ in self.entries:
-            out *= p
-        return out
+# ascending (prime, exponent) pairs; () is the factorization of 1
+Factorization = tuple[tuple[int, int], ...]
 
 
 # typed, so that 12.0 still fails in isqrt instead of hitting the entry for 12
 @lru_cache(maxsize=1 << 14, typed=True)
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division.
+    """Factor a positive integer by trial division into ascending (p, e) pairs.
 
-    Cached, since the verify commands factor the same moduli thousands of
-    times; a refusal (isqrt(n) past MAX_SIEVE) raises and is not cached.
+    factorize(1) == () and factorize(12) == ((2, 2), (3, 1)).  Cached, since
+    the verify commands factor the same moduli thousands of times; a refusal
+    (isqrt(n) past MAX_SIEVE) raises and is not cached.
     """
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
-    entries = []
+    pairs = []
     rest = n
     for d in _trial_divisors(n):
         if d * d > rest:
@@ -119,23 +97,21 @@ def factorize(n: int) -> Factorization:
             while rest % d == 0:
                 rest //= d
                 e += 1
-            entries.append((d, e))
+            pairs.append((d, e))
     if rest > 1:
-        entries.append((rest, 1))
-    return Factorization(tuple(entries))
+        pairs.append((rest, 1))
+    return tuple(pairs)
 
 
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)^omega(n)."""
     f = factorize(n)
-    if any(e > 1 for _, e in f.entries):
-        return 0
-    return -1 if len(f.entries) % 2 else 1
+    return 0 if any(e > 1 for _, e in f) else (-1) ** len(f)
 
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
-    return len(factorize(n).entries)
+    return len(factorize(n))
 
 
 def squarefree_divisor_count(n: int) -> int:
@@ -146,7 +122,7 @@ def squarefree_divisor_count(n: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler totient."""
     out = n
-    for p, _ in factorize(n).entries:
+    for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
 
@@ -160,7 +136,7 @@ def tight_part(a: int, b: int) -> int:
     if a < 1 or b < 1:
         raise ValueError(f"tight_part expects positive integers, got ({a}, {b})")
     out = 1
-    for p, e in factorize(b).entries:
+    for p, e in factorize(b):
         if a % p == 0:
             out *= p**e
     return out

@@ -11,6 +11,7 @@ subset-gcd form is kept to the test suite as an independent oracle.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +19,7 @@ from itertools import combinations, product
 from math import comb, gcd, prod
 from typing import Iterable, Sequence
 
-from .arith import BudgetError, factorize, sieve_primes
+from .arith import BudgetError, Factorization, factorize, sieve_primes
 
 __all__ = [
     "BudgetError",
@@ -51,13 +52,18 @@ class ConstraintVector:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moduli = tuple(int(m) for m in self.moduli)
-        object.__setattr__(self, "moduli", moduli)
-        if not moduli:
-            raise ConstraintError("constraint vector needs at least one modulus (k >= 2)")
-        for i, m in enumerate(moduli, start=1):
+        moduli = []
+        for i, m in enumerate(self.moduli, start=1):
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise TypeError(f"modulus u_{i} must be an integer, got {m!r}") from None
             if m < 1:
                 raise ConstraintError(f"modulus u_{i} must be a positive integer, got {m}")
+            moduli.append(m)
+        object.__setattr__(self, "moduli", tuple(moduli))
+        if not moduli:
+            raise ConstraintError("constraint vector needs at least one modulus (k >= 2)")
         for a, b in combinations(range(len(moduli)), 2):
             g = gcd(moduli[a], moduli[b])
             if g != 1:
@@ -77,23 +83,6 @@ class ConstraintVector:
         return cls((1,) * (k - 1))
 
 
-@dataclass(frozen=True)
-class _RelaxedModuli:
-    """Moduli vector without the pairwise-coprime requirement.
-
-    The raw constraint shift produces components that may share primes; a
-    prime appearing in several components is bound by the smallest cap.
-    Kept as a separate type so code that relies on pairwise coprimality
-    (all the density formulas) can never be handed one of these.
-    """
-
-    moduli: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.moduli) + 1
-
-
 def _check_constraint(constraint: object) -> None:
     """Refuse anything but a ConstraintVector, before any of its fields is read."""
     if not isinstance(constraint, ConstraintVector):
@@ -106,17 +95,18 @@ def _check_values(values: Sequence[int]) -> None:
             raise ValueError(f"tuple entries must be positive integers, got {v}")
 
 
-def _within_caps(entries: Iterable[Iterable[int]], caps: dict[int, int], default: int) -> bool:
+def _within_caps(entries: Iterable[Factorization], caps: dict[int, int], default: int) -> bool:
     """The one per-prime cap evaluator, behind the predicates and the naive count.
 
-    entries yields the distinct primes of each entry; a prime may
-    divide at most caps.get(p, default) entries.  Stops at the first prime
-    that goes over its cap.  The Monte Carlo sampler does not come here: it
-    decides rows from gcds alone, as an independent route.
+    entries yields the factorization, (p, e) pairs, of each entry or of the
+    part of it that matters; a prime may divide at most caps.get(p, default)
+    entries, whatever its exponents.  Stops at the first prime that goes
+    over its cap.  The Monte Carlo sampler does not come here: it decides
+    rows from gcds alone, as an independent route.
     """
     hits: dict[int, int] = {}
-    for primes in entries:
-        for p in primes:
+    for pairs in entries:
+        for p, _ in pairs:
             c = hits.get(p, 0) + 1
             if c > caps.get(p, default):
                 return False
@@ -133,7 +123,7 @@ def is_kwise_coprime(values: Sequence[int], k: int) -> bool:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     _check_values(values)
-    return _within_caps((factorize(v).primes() for v in values), {}, k - 1)
+    return _within_caps(map(factorize, values), {}, k - 1)
 
 
 def is_kwise_coprime_to(values: Sequence[int], k: int, u: int) -> bool:
@@ -146,15 +136,16 @@ def is_kwise_coprime_to(values: Sequence[int], k: int, u: int) -> bool:
     if u < 1:
         raise ValueError(f"modulus must be a positive integer, got {u}")
     _check_values(values)
-    primes = factorize(u).primes()
-    return _within_caps(([p for p in primes if v % p == 0] for v in values), {}, k - 1)
+    pairs = factorize(u)
+    return _within_caps(([(p, e) for p, e in pairs if v % p == 0] for v in values), {}, k - 1)
 
 
 def satisfies_constraint(values: Sequence[int], constraint: ConstraintVector) -> bool:
     """Joint condition: k-wise coprime and i-wise coprime to each u_i."""
     _check_constraint(constraint)
     _check_values(values)
-    return _satisfies_caps(values, constraint.k, constraint.moduli)
+    caps = dict(_prime_caps(constraint.moduli))
+    return _within_caps(map(factorize, values), caps, constraint.k - 1)
 
 
 def _prime_caps(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -162,21 +153,16 @@ def _prime_caps(moduli: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
     Primes absent from it carry the k-wise default of k - 1, where k - 1 =
     len(moduli).  A prime dividing u_i may divide at most i - 1 < k - 1
-    entries, so every cap lies below the default; when moduli share a prime
-    (relaxed vectors only) the smallest cap wins.  Canonical and hashable: the
-    counting engine's input and verify_recursion's share key.
+    entries, so every cap lies below the default; when moduli share a prime,
+    as the plain-tuple components of a raw shift may, the smallest cap wins.
+    Canonical and hashable: the counting engine's input and verify_recursion's
+    share key.
     """
     caps: dict[int, int] = {}
     for i, u in enumerate(moduli, start=1):
-        for p in factorize(u).primes():
+        for p, _ in factorize(u):
             caps[p] = min(i - 1, caps.get(p, i - 1))
     return tuple(sorted(caps.items()))
-
-
-def _satisfies_caps(values: Sequence[int], k: int, moduli: tuple[int, ...]) -> bool:
-    """Per-prime cap check; also valid for relaxed (non-coprime) moduli."""
-    caps = dict(_prime_caps(moduli))
-    return _within_caps((factorize(v).primes() for v in values), caps, k - 1)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -294,11 +280,8 @@ def _count_caps(
 def _count_naive(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> int:
     """Enumerate [1, n]^s and count the tuples the cap evaluator accepts: the cross-check."""
     cap_of = dict(caps)
-    return sum(
-        1
-        for t in product(range(1, n + 1), repeat=s)
-        if _within_caps((factorize(v).primes() for v in t), cap_of, k - 1)
-    )
+    tuples = product(range(1, n + 1), repeat=s)
+    return sum(_within_caps(map(factorize, t), cap_of, k - 1) for t in tuples)
 
 
 def _check_work(s: int, n: int, threads: int, budget: int) -> None:

@@ -227,7 +227,7 @@ def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
     """
     _validate_factor_args(s, k, i, u)
     num = den = 1
-    for p in factorize(u).primes():
+    for p, _ in factorize(u):
         num *= (p - 1) ** (k - i) * _weight(s, i, p)
         den *= _weight(s, k, p)
     return Fraction(num, den)
@@ -247,8 +247,8 @@ def mobius_sum_weight(s: int, i: int, d: int) -> Fraction:
         raise ValueError(f"i must be at least 1, got {i}")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    f = factorize(d)
-    return Fraction((d // f.radical()) ** i * prod(_weight(s, i + 1, p) for p in f.primes()))
+    primes = [p for p, _ in factorize(d)]
+    return Fraction((d // prod(primes)) ** i * prod(_weight(s, i + 1, p) for p in primes))
 
 
 def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
@@ -265,7 +265,7 @@ def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
     checks that equality case by case.
     """
     _validate_factor_args(s, k, i, u)
-    weights = [_weight(s, i + 1, p) for p in factorize(u).primes()]
+    weights = [_weight(s, i + 1, p) for p, _ in factorize(u)]
     c = comb(s, i)
     total = 0
     for r in range(len(weights) + 1):

@@ -23,7 +23,6 @@ from .coprime import (
     _check_work,
     _count_caps,
     _prime_caps,
-    _RelaxedModuli,
     count_tuples,  # not called here; bench/probes.py and the CLI tests patch it by name
 )
 
@@ -46,20 +45,21 @@ def _check_shift_args(j: int, constraint: ConstraintVector) -> None:
         )
 
 
-def reduce_constraint_raw(j: int, constraint: ConstraintVector) -> _RelaxedModuli:
+def reduce_constraint_raw(j: int, constraint: ConstraintVector) -> tuple[int, ...]:
     """Shift a fixed last coordinate j into the moduli, without cleanup.
 
     Component i becomes u_i * gcd(j, u_{i+1}) and the last becomes
-    j * u_{k-1}.  The result usually violates pairwise coprimality, which
+    j * u_{k-1}.  The components usually violate pairwise coprimality, which
     is fine for counting: a prime in several components is simply bound by
-    its smallest cap.
+    its smallest cap (_prime_caps).  So they come back as a plain tuple,
+    which no entry that needs a ConstraintVector accepts.
     """
     _check_shift_args(j, constraint)
     u = constraint.moduli
     k = constraint.k
     comps = [u[i] * gcd(j, u[i + 1]) for i in range(k - 2)]
     comps.append(j * u[k - 2])
-    return _RelaxedModuli(tuple(comps))
+    return tuple(comps)
 
 
 def reduce_constraint(j: int, constraint: ConstraintVector) -> ConstraintVector:
@@ -162,7 +162,7 @@ def _verify(
                 shifts.append(None)
                 continue
             reduced = _prime_caps(reduce_constraint(j, constraint).moduli)
-            raw = _prime_caps(reduce_constraint_raw(j, constraint).moduli)
+            raw = _prime_caps(reduce_constraint_raw(j, constraint))
             shifts.append((reduced, raw))
         pairs = [pair for pair in shifts[:n] if pair is not None]
         maps = dict.fromkeys(caps for pair in pairs for caps in pair)

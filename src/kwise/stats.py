@@ -21,6 +21,7 @@ recurrence, so the hit count is exactly the number of satisfying rows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -240,6 +241,7 @@ def monte_carlo(
         raise ValueError(f"s must be at least 1, got {s}")
     if s > _CHUNK_CELLS:
         raise BudgetError(f"s = {s} exceeds the sampler's row limit of {_CHUNK_CELLS} entries")
+    range_n = operator.index(range_n)
     if not 1 <= range_n < 2**63:
         raise ValueError(f"range_n must lie in [1, 2^63 - 1] (int64 draws), got {range_n}")
     if samples < 1:

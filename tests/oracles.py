@@ -139,7 +139,7 @@ def verify_recursion_unshared(s, constraint, n):
         if gcd(j, constraint.moduli[0]) != 1:
             continue
         rhs_reduced += count_tuples(s, reduce_constraint(j, constraint), n)
-        raw = reduce_constraint_raw(j, constraint).moduli
+        raw = reduce_constraint_raw(j, constraint)
         rhs_raw += _count_caps(s, k, _prime_caps(raw), n)
     return count_tuples(s + 1, constraint, n), rhs_reduced, rhs_raw
 

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from kwise import arith
@@ -47,19 +49,20 @@ def test_is_prime():
 
 
 def test_factorize_examples():
-    assert factorize(1).entries == ()
-    assert factorize(12).entries == ((2, 2), (3, 1))
-    assert factorize(97).entries == ((97, 1),)
-    assert factorize(360).entries == ((2, 3), (3, 2), (5, 1))
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(97) == ((97, 1),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
 
 def test_factorize_roundtrip_and_order():
     for n in range(1, 3000):
         f = factorize(n)
-        assert f.value == n
-        assert list(f.primes()) == sorted(f.primes())
-        assert all(e >= 1 for _, e in f.entries)
-        assert all(is_prime(p) for p in f.primes())
+        primes = [p for p, _ in f]
+        assert prod(p**e for p, e in f) == n
+        assert primes == sorted(set(primes))
+        assert all(e >= 1 for _, e in f)
+        assert all(is_prime(p) for p in primes)
 
 
 def factor_by_primes(n, primes):
@@ -82,7 +85,7 @@ def test_factorize_and_is_prime_never_sieve(monkeypatch):
 
     monkeypatch.setattr(arith, "_sieve", no_sieve)
     factorize.cache_clear()
-    got = [(factorize(n).entries, is_prime(n)) for n in cases]
+    got = [(factorize(n), is_prime(n)) for n in cases]
     monkeypatch.undo()
     # every case lies below (10**6 + 3)**2, so what the primes leave is 1 or prime
     primes = sieve_primes(10**6 + 3)
@@ -95,17 +98,18 @@ def test_trial_division_keeps_the_sieve_cap(monkeypatch):
     # refused exactly when isqrt(n) > MAX_SIEVE, as when factorize sieved to isqrt(n)
     monkeypatch.setattr(arith, "MAX_SIEVE", 1000)
     factorize.cache_clear()
-    assert factorize(997**2).entries == ((997, 2),)
+    assert factorize(997**2) == ((997, 2),)
     for call, n in ((factorize, 1009**2), (factorize, 2**22), (is_prime, 1009**2)):
         with pytest.raises(BudgetError):
             call(n)
 
 
-def test_factorization_views():
-    f = Factorization(((2, 3), (5, 1)))
-    assert f.value == 40
-    assert f.primes() == (2, 5)
-    assert f.radical() == 10
+def test_factorization_is_a_tuple_of_pairs():
+    # the exported name is the type alias of what factorize returns
+    assert Factorization == tuple[tuple[int, int], ...]
+    f = factorize(40)
+    assert type(f) is tuple and f == ((2, 3), (5, 1))
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in f)
 
 
 def test_factorize_rejects_nonpositive():

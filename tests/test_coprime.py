@@ -1,6 +1,7 @@
 from itertools import permutations, product
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from kwise import coprime
@@ -10,13 +11,12 @@ from kwise.coprime import (
     ConstraintVector,
     _count_caps,
     _prime_caps,
-    _RelaxedModuli,
-    _satisfies_caps,
     count_tuples,
     is_kwise_coprime,
     is_kwise_coprime_to,
     satisfies_constraint,
 )
+from kwise.recursion import reduce_constraint_raw
 from oracles import constraint_ok, count_by_enumeration, kwise_ok, kwise_to_ok
 
 
@@ -37,6 +37,17 @@ def test_constraint_vector_rejects_bad_input():
         ConstraintVector((3, -1))
     with pytest.raises(ConstraintError):
         ConstraintVector.trivial(1)
+
+
+def test_constraint_vector_takes_integers_only():
+    # no truncation: 2.9 is not u = 2, and no parsing: "5" is not u = 5
+    cases = (((2.9,), "u_1 .* got 2.9"), (("5",), "u_1 .* got '5'"), ((5, 7.0), "u_2 .* got 7.0"))
+    for bad, message in cases:
+        with pytest.raises(TypeError, match=message):
+            ConstraintVector(bad)
+    c = ConstraintVector((np.int64(5), 6))
+    assert c.moduli == (5, 6)
+    assert all(type(m) is int for m in c.moduli)
 
 
 def test_constraint_vector_names_offending_pair():
@@ -101,11 +112,11 @@ def test_satisfies_constraint_matches_oracle():
             assert satisfies_constraint(t, c) == constraint_ok(t, c.k, moduli)
 
 
-def test_satisfies_matches_caps_form():
+def test_satisfies_matches_oracle_on_pairs():
     for moduli in [(1,), (6,), (2, 3), (4, 9)]:
         c = ConstraintVector(moduli)
         for t in product(range(1, 11), repeat=2):
-            assert satisfies_constraint(t, c) == _satisfies_caps(t, c.k, moduli)
+            assert satisfies_constraint(t, c) == constraint_ok(t, c.k, moduli)
 
 
 def test_permutation_invariance():
@@ -230,21 +241,18 @@ def test_count_input_validation():
         count_tuples(2, c, 5, threads=0)
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         count_tuples(2, c, 0, budget=-1)
-    with pytest.raises(TypeError):
-        count_tuples(2, (1,), 5)
+    # a raw shift's components are a plain tuple, refused like any other
+    for moduli in ((1,), reduce_constraint_raw(4, ConstraintVector((5, 6)))):
+        with pytest.raises(TypeError, match="got tuple"):
+            count_tuples(2, moduli, 5)
 
 
 def test_relaxed_moduli_counting():
-    # shared primes take the tightest cap; cross-check against enumeration
-    relaxed = _RelaxedModuli((2, 6))
+    # shared primes take the tightest cap; cross-check against the subset-gcd oracle
+    relaxed = (2, 6)
     for n in (4, 6, 9):
-        got = _count_caps(2, relaxed.k, _prime_caps(relaxed.moduli), n)
-        expect = sum(
-            1
-            for t in product(range(1, n + 1), repeat=2)
-            if _satisfies_caps(t, 3, (2, 6))
-        )
-        assert got == expect
+        got = _count_caps(2, 3, _prime_caps(relaxed), n)
+        assert got == count_by_enumeration(2, 3, relaxed, n)
     # (2, 6) relaxed means: no entry even, at most one divisible by 3
     assert _count_caps(2, 3, _prime_caps((2, 6)), 9) == sum(
         1

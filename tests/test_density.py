@@ -21,6 +21,7 @@ from kwise.density import (
     mobius_sum_weight,
     tail_fraction,
 )
+from kwise.recursion import reduce_constraint_raw
 from oracles import (
     binomial_tail_local_factor,
     pairwise_local_factor,
@@ -388,7 +389,8 @@ def test_limiting_density_scales_by_constraint_factors():
 
 
 def test_limiting_density_validation():
-    with pytest.raises(TypeError):
-        limiting_density(2, (2,), 1000)
+    for moduli in ((2,), reduce_constraint_raw(4, ConstraintVector((5, 6)))):
+        with pytest.raises(TypeError, match="got tuple"):
+            limiting_density(2, moduli, 1000)
     with pytest.raises(ValueError):
         limiting_density(8, ConstraintVector.trivial(2), 23)

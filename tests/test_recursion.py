@@ -22,10 +22,10 @@ from oracles import constraint_ok, verify_recursion_unshared
 
 
 def test_raw_shift_examples():
-    assert reduce_constraint_raw(7, ConstraintVector((4,))).moduli == (28,)
-    assert reduce_constraint_raw(4, ConstraintVector((5, 6))).moduli == (10, 24)
-    assert reduce_constraint_raw(6, ConstraintVector((1, 1))).moduli == (1, 6)
-    assert reduce_constraint_raw(4, ConstraintVector((5, 6, 7))).moduli == (10, 6, 28)
+    assert reduce_constraint_raw(7, ConstraintVector((4,))) == (28,)
+    assert reduce_constraint_raw(4, ConstraintVector((5, 6))) == (10, 24)
+    assert reduce_constraint_raw(6, ConstraintVector((1, 1))) == (1, 6)
+    assert reduce_constraint_raw(4, ConstraintVector((5, 6, 7))) == (10, 6, 28)
 
 
 def test_reduced_shift_examples():
@@ -59,7 +59,7 @@ def test_reduced_shift_is_valid_constraint():
             # construction enforces pairwise coprimality; same k
             assert reduced.k == c.k
             raw = reduce_constraint_raw(j, c)
-            assert len(raw.moduli) == len(reduced.moduli)
+            assert len(raw) == len(reduced.moduli)
 
 
 def test_shift_counts_agree_raw_vs_reduced():
@@ -73,7 +73,7 @@ def test_shift_counts_agree_raw_vs_reduced():
             raw = reduce_constraint_raw(j, c)
             for n in (4, 7):
                 direct = count_tuples(2, reduced, n)
-                relaxed = _count_caps(2, c.k, _prime_caps(raw.moduli), n)
+                relaxed = _count_caps(2, c.k, _prime_caps(raw), n)
                 assert direct == relaxed, (moduli, j, n)
 
 
@@ -142,8 +142,9 @@ def test_recursion_budget_and_validation():
         verify_recursion(0, c, 5)
     with pytest.raises(ValueError):
         verify_recursion(1, c, -1)
-    with pytest.raises(TypeError, match="got tuple"):
-        verify_recursion(2, (1,), 5)
+    for moduli in ((1,), reduce_constraint_raw(4, ConstraintVector((5, 6)))):
+        with pytest.raises(TypeError, match="got tuple"):
+            verify_recursion(2, moduli, 5)
 
 
 def test_recursion_counts_each_cap_map_once(monkeypatch):
@@ -158,10 +159,13 @@ def test_recursion_counts_each_cap_map_once(monkeypatch):
     rep = verify_recursion(s, c, n)
     assert rep.passed
     maps = {
-        _prime_caps(shift(j, c).moduli)
+        caps
         for j in range(1, n + 1)
         if gcd(j, 5) == 1
-        for shift in (reduce_constraint, reduce_constraint_raw)
+        for caps in (
+            _prime_caps(reduce_constraint(j, c).moduli),
+            _prime_caps(reduce_constraint_raw(j, c)),
+        )
     }
     # one direct (s+1)-count, on the direct cap map, and each shifted map once
     assert [caps for s_, caps in counted if s_ == s + 1] == [_prime_caps(c.moduli)]
@@ -222,7 +226,7 @@ def test_sweep_derives_each_shift_once_and_counts_each_map_once_per_n(monkeypatc
     assert direct == [(n, prime_caps(c.moduli)) for n in range(1, n_max + 1)]
     counted = [(n, caps) for s_, n, caps in counted if s_ == s]
     maps = {
-        j: {prime_caps(shift(j, c).moduli) for shift in (reduce_constraint, reduce_constraint_raw)}
+        j: {prime_caps(reduce_constraint(j, c).moduli), prime_caps(reduce_constraint_raw(j, c))}
         for j in coprime_j
     }
     # the counts a call per n makes: each distinct cap map of the j <= n once

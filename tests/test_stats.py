@@ -7,6 +7,7 @@ from kwise import stats
 from kwise.arith import BudgetError, sieve_primes
 from kwise.coprime import ConstraintVector, count_tuples
 from kwise.density import kwise_coprime_probability, limiting_density
+from kwise.recursion import reduce_constraint_raw
 from kwise.stats import (
     CountReport,
     MonteCarloEstimate,
@@ -280,8 +281,20 @@ def test_monte_carlo_validation():
         monte_carlo(2, c, 100, 10, seed=-1)
     with pytest.raises(ValueError):
         monte_carlo(2, c, 100, 10, seed=2**64)
-    with pytest.raises(TypeError, match="got tuple"):
-        monte_carlo(2, (1,), 100, 10)
+    for moduli in ((1,), reduce_constraint_raw(4, ConstraintVector((5, 6)))):
+        with pytest.raises(TypeError, match="got tuple"):
+            monte_carlo(2, moduli, 100, 10)
+
+
+def test_monte_carlo_takes_an_integer_range():
+    # 10.5 would draw from [1, 10] and report range_n = 10.5
+    c = ConstraintVector((1,))
+    for bad in (10.5, 10.0, "10"):
+        with pytest.raises(TypeError):
+            monte_carlo(2, c, bad, 100)
+    est = monte_carlo(2, c, np.int64(10), 100, seed=3)
+    assert type(est.range_n) is int
+    assert est == monte_carlo(2, c, 10, 100, seed=3)
 
 
 def test_report_types_are_frozen():
