@@ -107,7 +107,7 @@ def _run_density(inp: dict) -> tuple[dict, int]:
 
 def _run_count(inp: dict) -> tuple[dict, int]:
     constraint = _resolve_constraint(inp)
-    count = count_tuples(inp["s"], constraint, inp["n"], strategy=inp["strategy"], **_work(inp))
+    count = count_tuples(inp["s"], constraint, inp["n"], **_work(inp))
     return {"n": inp["n"], "count": count}, 0
 
 
@@ -204,7 +204,6 @@ _COMMANDS = {
     "count": _Command("exact count over [1,n]^s", (
         *_SHAPE,
         ("n", "--n", dict(type=int, required=True)),
-        ("strategy", "--strategy", dict(choices=("signature", "naive"), default="signature")),
         *_WORK,
     ), _run_count, ("n", "count")),
     "mc": _Command("Monte Carlo density estimate", (

@@ -96,7 +96,7 @@ def _check_values(values: Sequence[int]) -> None:
 
 
 def _within_caps(entries: Iterable[Factorization], caps: dict[int, int], default: int) -> bool:
-    """The one per-prime cap evaluator, behind the predicates and the naive count.
+    """The one per-prime cap evaluator, behind the three predicates.
 
     entries yields the factorization, (p, e) pairs, of each entry or of the
     part of it that matters; a prime may divide at most caps.get(p, default)
@@ -277,20 +277,15 @@ def _count_caps(
     return total(0, (n,) * s)
 
 
-def _count_naive(s: int, k: int, caps: tuple[tuple[int, int], ...], n: int) -> int:
-    """Enumerate [1, n]^s and count the tuples the cap evaluator accepts: the cross-check."""
-    cap_of = dict(caps)
-    tuples = product(range(1, n + 1), repeat=s)
-    return sum(_within_caps(map(factorize, t), cap_of, k - 1) for t in tuples)
-
-
-def _check_work(s: int, n: int, threads: int, budget: int) -> None:
+def _check_work(s: int, n: int, threads: int, budget: int) -> tuple[int, int]:
     """Refuse a count over [1, n]^s before any work: bad arguments, or n**s above `budget`.
 
-    The one budget check of every exact count: count_tuples, each direct
-    count of a verify-recursion sweep (whose command checks the largest
-    before the first) and each entry of a convergence grid.
+    The one check of every exact count: count_tuples, each direct count of a
+    verify-recursion sweep (whose command checks the largest before the
+    first) and each entry of a convergence grid.  Integers only (a float is
+    a TypeError); returns s and n as Python ints, on which n**s cannot wrap.
     """
+    s, n, budget = map(operator.index, (s, n, budget))
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if s < 1:
@@ -301,6 +296,7 @@ def _check_work(s: int, n: int, threads: int, budget: int) -> None:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if n**s > budget:
         raise BudgetError(f"enumeration volume n^s = {n**s} exceeds the budget of {budget} cells")
+    return s, n
 
 
 def count_tuples(
@@ -308,23 +304,16 @@ def count_tuples(
     constraint: ConstraintVector,
     n: int,
     *,
-    strategy: str = "signature",
     threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact number of tuples in [1, n]^s satisfying the constraint.
 
-    The entry for a single count.  The default "signature" strategy runs the
-    Mobius-expansion engine (_count_caps) with a memo of its own; "naive"
-    enumerates every tuple and evaluates the predicate (_count_naive), as a
-    cross-check, both on the cap map derived here once.  Both refuse to start
-    when n**s exceeds `budget`, which must be nonnegative (_check_work).
-    Counting is serial: `threads`, checked there too, must be at least 1 and
-    starts no workers.
+    The entry for a single count: the Mobius-expansion engine (_count_caps),
+    with a memo of its own, on the cap map derived here.  _check_work refuses
+    it first unless s and n are integers and n**s is within a nonnegative
+    `budget`; `threads` must be at least 1 and starts no workers.
     """
     _check_constraint(constraint)
-    if strategy not in ("signature", "naive"):
-        raise ValueError(f"unknown strategy {strategy!r}, expected 'signature' or 'naive'")
-    _check_work(s, n, threads, budget)
-    count = _count_naive if strategy == "naive" else _count_caps
-    return count(s, constraint.k, _prime_caps(constraint.moduli), n)
+    s, n = _check_work(s, n, threads, budget)
+    return _count_caps(s, constraint.k, _prime_caps(constraint.moduli), n)

@@ -155,8 +155,10 @@ def _verify(
     shifts: list[tuple | None] = []
     memo: dict = {}
     for n in ns:
-        _check_work(s + 1, n, threads, budget)
-        lhs = _count_caps(s + 1, k, direct, n, memo=memo)
+        # every count runs on the Python ints that the check returns
+        s1, n = _check_work(s + 1, n, threads, budget)
+        s = s1 - 1
+        lhs = _count_caps(s1, k, direct, n, memo=memo)
         for j in range(len(shifts) + 1, n + 1):
             if gcd(j, u1) != 1:
                 shifts.append(None)

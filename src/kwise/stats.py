@@ -106,14 +106,14 @@ def convergence_table(
     density or any count is computed, so an over-budget entry is refused
     before any work.  The counts share one cap map and one engine memo.
     """
-    grid = [int(n) for n in n_grid]
+    grid = list(n_grid)
     if not grid:
         raise ValueError("n_grid must contain at least one value")
     for n in grid:
         if n < 1:
             raise ValueError(f"grid entries must be positive integers, got {n}")
-    for n in grid:
-        _check_work(s, n, threads, budget)
+    for i, n in enumerate(grid):
+        s, grid[i] = _check_work(s, n, threads, budget)
     enclosure = limiting_density(s, constraint, prime_limit, precision)
     density = float(enclosure.point)
     k = constraint.k

@@ -60,11 +60,12 @@ def test_count_matches_library(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["count"] == 11
-    assert doc["inputs"]["strategy"] == "signature"
-    code, out, _ = run_cli(
-        capsys, "count", "--s", "2", "--k", "2", "--n", "4", "--strategy", "naive"
-    )
-    assert json.loads(out)["result"]["count"] == 11
+    assert "strategy" not in doc["inputs"]
+    # one counting engine: --strategy is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--s", "2", "--k", "2", "--n", "4", "--strategy", "naive"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy naive" in capsys.readouterr().err
 
 
 def test_cli_is_byte_deterministic(capsys):
@@ -375,7 +376,7 @@ RECORDED_INPUTS = [
     ("density", ("s", "k", "u", "prime_limit", "precision"), ("--s", "2", "--k", "2")),
     (
         "count",
-        ("s", "k", "u", "n", "strategy", "threads", "budget"),
+        ("s", "k", "u", "n", "threads", "budget"),
         ("--s", "2", "--k", "2", "--n", "5"),
     ),
     (
@@ -400,7 +401,6 @@ DEFAULTS = {
     "prime_limit": 100000,
     "precision": 50,
     "budget": 200000000,
-    "strategy": "signature",
     "seed": 0,
     "streams": 1,
     "u_max": 100,

@@ -9,6 +9,8 @@ layout shows up here.
 """
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from kwise import cli
 
 CASES = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())["cases"]
+README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
@@ -28,7 +31,12 @@ def test_cli_output_matches_golden(case, capsys):
 
 
 def test_readme_density_example_is_the_real_document():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
     case = CASES[0]
     assert case["argv"][0] == "density"
-    assert f"$ kwise {' '.join(case['argv'])}\n{case['stdout']}```" in readme
+    assert f"$ kwise {' '.join(case['argv'])}\n{case['stdout']}```" in README
+
+
+@pytest.mark.parametrize("line", re.findall(r"^\$ kwise (.*)$", README, flags=re.M))
+def test_readme_command_parses(line):
+    # a flag deleted from the CLI cannot linger in the documented commands
+    cli._build_parser().parse_args(shlex.split(line, comments=True))

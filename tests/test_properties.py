@@ -1,18 +1,16 @@
 """Property tests of the per-prime weight, the per-prime cap evaluator, the
 counting engine, the Monte Carlo evaluator and the interval Euler product.
 
-Both routes into the one cap evaluator (the predicate and the naive counter)
-and the sampler's gcd evaluator are checked against the subset-gcd oracles,
-the gcd evaluator also on moduli of 2^63 and above, for additivity over
-splits of its rows and for invariance under their permutations, the
-Mobius-expansion counter against enumeration and the naive counter and
-across the reduced and raw constraint shifts (which also give the same
-caps, so verify_recursion may share their counts), with one engine memo
-shared across interleaved counts and across a verify-recursion sweep,
-the weight-based
-formulas against their plain Fraction definitions, and the fixed-point
-interval product against the exact Fraction product and across prime
-limits.
+The one cap evaluator (behind the predicates) and the sampler's gcd
+evaluator are checked against the subset-gcd oracles, the gcd evaluator
+also on moduli of 2^63 and above, for additivity over splits of its rows
+and for invariance under their permutations, the Mobius-expansion counter
+against enumeration and across the reduced and raw constraint shifts (which
+also give the same caps, so verify_recursion may share their counts), with
+one engine memo shared across interleaved counts and across a
+verify-recursion sweep, the weight-based formulas against their plain
+Fraction definitions, and the fixed-point interval product against the
+exact Fraction product and across prime limits.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
@@ -30,7 +28,6 @@ from kwise.arith import sieve_primes
 from kwise.coprime import (
     ConstraintVector,
     _count_caps,
-    _count_naive,
     _prime_caps,
     count_tuples,
     satisfies_constraint,
@@ -79,20 +76,13 @@ def test_predicate_matches_subset_gcd(cv, tup):
     assert satisfies_constraint(tup, cv) == constraint_ok(tup, cv.k, cv.moduli)
 
 
-@settings(max_examples=40, deadline=None)
-@given(constraints(max_k=3), st.integers(1, 3), st.integers(1, 6))
-def test_naive_count_matches_enumeration(cv, s, n):
-    got = count_tuples(s, cv, n, strategy="naive")
-    assert got == count_by_enumeration(s, cv.k, cv.moduli, n)
-
-
 # widest n per s that keeps enumerating [1, n]^s quick
 ENGINE_N_MAX = {1: 300, 2: 40, 3: 12, 4: 7}
 
 
 @settings(max_examples=60, deadline=None)
 @given(constraints(max_k=5), st.integers(1, 4), st.data())
-def test_engine_matches_enumeration_and_naive(cv, s, data):
+def test_engine_matches_enumeration(cv, s, data):
     """The Mobius-expansion counter, on a constraint or on its raw shift by j."""
     n = data.draw(st.integers(0, ENGINE_N_MAX[s]), label="n")
     j = data.draw(st.integers(0, 40), label="j (0: no shift)")
@@ -100,10 +90,8 @@ def test_engine_matches_enumeration_and_naive(cv, s, data):
     if j:
         assume(gcd(j, moduli[0]) == 1)
         moduli = reduce_constraint_raw(j, cv)
-    caps = _prime_caps(moduli)
-    got = _count_caps(s, cv.k, caps, n)
+    got = _count_caps(s, cv.k, _prime_caps(moduli), n)
     assert got == count_by_enumeration(s, cv.k, moduli, n)
-    assert got == _count_naive(s, cv.k, caps, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,6 +99,12 @@ def test_convergence_validation():
         convergence_table(2, c, [])
     with pytest.raises(ValueError):
         convergence_table(2, c, [0, 5])
+    # grid entries are integers: 10.5 is refused, not counted as 10
+    with pytest.raises(TypeError):
+        convergence_table(2, c, [10.5])
+    rows = convergence_table(np.int64(2), c, np.array([10, 100]), prime_limit=1000)
+    assert rows == convergence_table(2, c, [10, 100], prime_limit=1000)
+    assert all(type(r.n) is int and type(r.count) is int for r in rows)
 
 
 def test_monte_carlo_deterministic():
