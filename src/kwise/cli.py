@@ -113,9 +113,7 @@ def _run_count(inp: dict) -> tuple[dict, int]:
 
 def _run_mc(inp: dict) -> tuple[dict, int]:
     constraint = _resolve_constraint(inp)
-    est = monte_carlo(
-        inp["s"], constraint, inp["range_n"], inp["samples"], inp["seed"], inp["streams"]
-    )
+    est = monte_carlo(inp["s"], constraint, inp["range_n"], inp["samples"], inp["seed"])
     return asdict(est), 0
 
 
@@ -211,8 +209,7 @@ _COMMANDS = {
         ("range_n", "--range", dict(type=int, required=True, help="sample box [1, RANGE]")),
         ("samples", "--samples", dict(type=int, required=True)),
         ("seed", "--seed", dict(type=int, default=0)),
-        ("streams", "--streams", dict(type=int, default=1)),
-    ), _run_mc, ("samples", "hits", "estimate", "std_error", "seed", "range_n", "streams")),
+    ), _run_mc, ("samples", "hits", "estimate", "std_error", "seed", "range_n")),
     "converge": _Command("exact counts vs prediction over a grid", (
         *_SHAPE, *_DENS, *_WORK,
         ("grid", "--grid", dict(required=True, help="comma-separated n values")),

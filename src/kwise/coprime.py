@@ -119,7 +119,9 @@ def is_kwise_coprime(values: Sequence[int], k: int) -> bool:
 
     Evaluated through the per-prime criterion: no prime divides k or more
     of the entries.  Vacuously true when fewer than k entries are given.
+    k is an integer (a float is a TypeError).
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     _check_values(values)
@@ -130,7 +132,9 @@ def is_kwise_coprime_to(values: Sequence[int], k: int, u: int) -> bool:
     """True iff every k entries of `values` have gcd coprime to u.
 
     Per-prime form: each prime dividing u divides fewer than k entries.
+    k and u are integers (a float is a TypeError).
     """
+    k, u = operator.index(k), operator.index(u)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if u < 1:
@@ -282,10 +286,11 @@ def _check_work(s: int, n: int, threads: int, budget: int) -> tuple[int, int]:
 
     The one check of every exact count: count_tuples, each direct count of a
     verify-recursion sweep (whose command checks the largest before the
-    first) and each entry of a convergence grid.  Integers only (a float is
-    a TypeError); returns s and n as Python ints, on which n**s cannot wrap.
+    first) and each entry of a convergence grid.  Integers only, threads
+    included (a float is a TypeError); returns s and n as Python ints, on
+    which n**s cannot wrap.
     """
-    s, n, budget = map(operator.index, (s, n, budget))
+    s, n, threads, budget = map(operator.index, (s, n, threads, budget))
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if s < 1:

@@ -16,6 +16,7 @@ apart, those of the exact product itself.  F grows as the product falls.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -302,10 +303,12 @@ def limiting_density(
 
     The k-wise Euler product times the exact constraint factors for each
     modulus.  The constraint factors are finite exact rationals, so the
-    tail certificate is the same one the bare k-wise product carries.  A
+    tail certificate is the same one the bare k-wise product carries.  s,
+    prime_limit and precision are integers (a float is a TypeError), and a
     precision above MAX_PRECISION is refused with BudgetError before any work.
     """
     _check_constraint(constraint)
+    s, prime_limit, precision = map(operator.index, (s, prime_limit, precision))
     k = constraint.k
     _validate_order(s, k)
     if precision < 1:

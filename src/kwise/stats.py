@@ -87,7 +87,6 @@ class MonteCarloEstimate:
     std_error: float
     seed: int
     range_n: int
-    streams: int
 
 
 def convergence_table(
@@ -225,44 +224,38 @@ def monte_carlo(
     range_n: int,
     samples: int,
     seed: int = 0,
-    streams: int = 1,
 ) -> MonteCarloEstimate:
     """Estimate the density of satisfying tuples in [1, range_n]^s by sampling.
 
-    Fully deterministic for a given (seed, streams, samples): stream m uses
-    the seeded generator jumped m times, the per-stream sample counts split
-    the total evenly with the remainder on the leading streams, and each
-    stream draws its rows in chunks of min(_CHUNK_ROWS, _CHUNK_CELLS // s)
-    rows.  An s above _CHUNK_CELLS, a row wider than a chunk, raises
-    BudgetError before anything is drawn.
+    Fully deterministic for a given (seed, samples): one PCG64 generator
+    seeded with seed draws the rows in chunks of min(_CHUNK_ROWS,
+    _CHUNK_CELLS // s) rows.  Every argument is checked before numpy is
+    imported: s, range_n, samples and seed take integers only (a float is
+    a TypeError), and an s above _CHUNK_CELLS, a row wider than a chunk,
+    raises BudgetError.
     """
     _check_constraint(constraint)
+    s, range_n, samples, seed = map(operator.index, (s, range_n, samples, seed))
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     if s > _CHUNK_CELLS:
         raise BudgetError(f"s = {s} exceeds the sampler's row limit of {_CHUNK_CELLS} entries")
-    range_n = operator.index(range_n)
     if not 1 <= range_n < 2**63:
         raise ValueError(f"range_n must lie in [1, 2^63 - 1] (int64 draws), got {range_n}")
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
-    if streams < 1 or streams > samples:
-        raise ValueError(f"streams must lie in [1, samples], got {streams}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     import numpy as np
 
-    base, extra = divmod(samples, streams)
+    rng = np.random.Generator(np.random.PCG64(seed))
     chunk = min(_CHUNK_ROWS, _CHUNK_CELLS // s)
-    hits = 0
-    for m in range(streams):
-        rng = np.random.Generator(np.random.PCG64(seed).jumped(m))
-        remaining = base + (1 if m < extra else 0)
-        while remaining:
-            take = min(chunk, remaining)
-            rows = rng.integers(1, range_n, size=(take, s), dtype=np.int64, endpoint=True)
-            hits += _hits(rows, constraint.k, constraint.moduli)
-            remaining -= take
+    hits, remaining = 0, samples
+    while remaining:
+        take = min(chunk, remaining)
+        rows = rng.integers(1, range_n, size=(take, s), dtype=np.int64, endpoint=True)
+        hits += _hits(rows, constraint.k, constraint.moduli)
+        remaining -= take
     estimate = hits / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return MonteCarloEstimate(
@@ -272,5 +265,4 @@ def monte_carlo(
         std_error=std_error,
         seed=seed,
         range_n=range_n,
-        streams=streams,
     )

@@ -381,7 +381,7 @@ RECORDED_INPUTS = [
     ),
     (
         "mc",
-        ("s", "k", "u", "range_n", "samples", "seed", "streams"),
+        ("s", "k", "u", "range_n", "samples", "seed"),
         ("--s", "2", "--k", "2", "--range", "10", "--samples", "10"),
     ),
     (
@@ -402,7 +402,6 @@ DEFAULTS = {
     "precision": 50,
     "budget": 200000000,
     "seed": 0,
-    "streams": 1,
     "u_max": 100,
     "threads": None,
 }
@@ -463,15 +462,21 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 def test_mc_document(capsys):
     code, out, _ = run_cli(
         capsys, "mc", "--s", "3", "--k", "3", "--range", "500", "--samples", "2000",
-        "--seed", "4", "--streams", "2",
+        "--seed", "4",
     )
     assert code == 0
     doc = json.loads(out)
     result = doc["result"]
     assert result["samples"] == 2000
-    assert result["streams"] == 2
+    assert "streams" not in result and "streams" not in doc["inputs"]
     assert 0 <= result["estimate"] <= 1
     assert result["hits"] == int(round(result["estimate"] * 2000))
+    # one seeded stream per run: --streams is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--s", "2", "--k", "2", "--range", "10", "--samples", "10",
+                  "--streams", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --streams 2" in capsys.readouterr().err
 
 
 def test_primes_formats(capsys):

@@ -87,6 +87,15 @@ def test_predicates_reject_bad_input():
         is_kwise_coprime_to((1, 2), 1, 0)
     with pytest.raises(ValueError):
         is_kwise_coprime_to((1, -3), 1, 5)
+    # k and u are integers: a float k would act as a fractional cap
+    with pytest.raises(TypeError):
+        is_kwise_coprime([2, 3], 2.5)
+    with pytest.raises(TypeError):
+        is_kwise_coprime_to([2, 3], 1.5, 6)
+    with pytest.raises(TypeError):
+        is_kwise_coprime_to([2, 3], 2, 6.0)
+    assert is_kwise_coprime([2, 3], np.int64(2))
+    assert is_kwise_coprime_to([2, 3], np.int64(2), np.int64(6))
     with pytest.raises(TypeError, match="got tuple"):
         satisfies_constraint((1, 2), (1,))
 
@@ -229,7 +238,8 @@ def test_count_input_validation():
         count_tuples(2, c, 5, threads=0)
     with pytest.raises(ValueError, match="budget must be nonnegative"):
         count_tuples(2, c, 0, budget=-1)
-    for bad in ({"s": 2.0}, {"n": 10.0}, {"budget": 1e6}):
+    # threads too: 1.5 would be accepted and recorded, though it starts no workers
+    for bad in ({"s": 2.0}, {"n": 10.0}, {"budget": 1e6}, {"threads": 1.5}):
         with pytest.raises(TypeError):
             count_tuples(**{"s": 2, "constraint": c, "n": 10, **bad})
     assert count_tuples(2, c, np.int64(100)) == count_tuples(2, c, 100)

@@ -2,6 +2,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localc
 from fractions import Fraction
 from math import gcd, pi
 
+import numpy as np
 import pytest
 
 from kwise import density
@@ -394,3 +395,22 @@ def test_limiting_density_validation():
             limiting_density(2, moduli, 1000)
     with pytest.raises(ValueError):
         limiting_density(8, ConstraintVector.trivial(2), 23)
+
+
+def test_limiting_density_takes_integers():
+    # numpy ints used to fail deep inside the product, and a float prime limit in the tail bound
+    c = ConstraintVector((5,))
+    want = limiting_density(2, c, 1000, 10)
+    for s, prime_limit, precision in ((np.int64(2), 1000, 10), (2, np.int64(1000), 10),
+                                      (2, 1000, np.int64(10))):
+        got = limiting_density(s, c, prime_limit, precision)
+        assert got == want and type(got.prime_limit) is int
+    assert kwise_coprime_probability(np.int64(2), np.int64(2), np.int64(1000)) == (
+        kwise_coprime_probability(2, 2, 1000)
+    )
+    for bad in ({"s": 2.0}, {"prime_limit": 1000.5}, {"precision": 10.0}):
+        with pytest.raises(TypeError):
+            limiting_density(**{"s": 2, "constraint": c, "prime_limit": 1000, "precision": 10,
+                                **bad})
+    with pytest.raises(TypeError):
+        kwise_coprime_probability(2, 2.0)

@@ -144,6 +144,8 @@ def test_recursion_budget_and_validation():
         verify_recursion(1, ConstraintVector((5, 6)), np.int64(3037000500))
     with pytest.raises(TypeError):
         verify_recursion(1, c, 5.0)
+    with pytest.raises(TypeError):
+        verify_recursion(1, c, 5, threads=2.5)
     assert verify_recursion(np.int64(2), c, np.int64(20)) == verify_recursion(2, c, 20)
     with pytest.raises(ValueError):
         verify_recursion(0, c, 5)

@@ -102,6 +102,8 @@ def test_convergence_validation():
     # grid entries are integers: 10.5 is refused, not counted as 10
     with pytest.raises(TypeError):
         convergence_table(2, c, [10.5])
+    with pytest.raises(TypeError):
+        convergence_table(2, c, [10], threads=1.5)
     rows = convergence_table(np.int64(2), c, np.array([10, 100]), prime_limit=1000)
     assert rows == convergence_table(2, c, [10, 100], prime_limit=1000)
     assert all(type(r.n) is int and type(r.count) is int for r in rows)
@@ -115,15 +117,6 @@ def test_monte_carlo_deterministic():
     assert a.samples == 20_000 and a.range_n == 10_000 and a.seed == 42
     other = monte_carlo(2, c, 10_000, 20_000, seed=43)
     assert other.hits != a.hits
-
-
-def test_monte_carlo_streams_deterministic():
-    c = ConstraintVector((1,))
-    a = monte_carlo(2, c, 5000, 9999, seed=7, streams=4)
-    b = monte_carlo(2, c, 5000, 9999, seed=7, streams=4)
-    assert a == b
-    assert a.streams == 4
-    assert 0 < a.estimate < 1
 
 
 def test_monte_carlo_vacuous_is_certain():
@@ -282,8 +275,6 @@ def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         monte_carlo(2, c, 100, 0)
     with pytest.raises(ValueError):
-        monte_carlo(2, c, 100, 10, streams=11)
-    with pytest.raises(ValueError):
         monte_carlo(2, c, 100, 10, seed=-1)
     with pytest.raises(ValueError):
         monte_carlo(2, c, 100, 10, seed=2**64)
@@ -292,15 +283,30 @@ def test_monte_carlo_validation():
             monte_carlo(2, moduli, 100, 10)
 
 
-def test_monte_carlo_takes_an_integer_range():
+def test_monte_carlo_takes_an_integer_range(monkeypatch):
     # 10.5 would draw from [1, 10] and report range_n = 10.5
     c = ConstraintVector((1,))
     for bad in (10.5, 10.0, "10"):
         with pytest.raises(TypeError):
             monte_carlo(2, c, bad, 100)
-    est = monte_carlo(2, c, np.int64(10), 100, seed=3)
-    assert type(est.range_n) is int
+    est = monte_carlo(2, c, np.int64(10), np.int64(100), seed=np.uint64(3))
+    assert type(est.range_n) is int and type(est.samples) is int and type(est.seed) is int
     assert est == monte_carlo(2, c, 10, 100, seed=3)
+
+    # every argument is checked before numpy draws anything
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sampler drew rows")
+
+    monkeypatch.setattr(np.random, "Generator", no_draws)
+    for bad in ({"s": 2.0}, {"samples": 10.5}, {"seed": 1.5}):
+        with pytest.raises(TypeError):
+            monte_carlo(**{"s": 2, "constraint": c, "range_n": 10, "samples": 10, **bad})
+
+
+def test_monte_carlo_has_no_streams():
+    # one seeded PCG64 stream per run; the streams argument is gone
+    with pytest.raises(TypeError):
+        monte_carlo(2, ConstraintVector((1,)), 100, 10, streams=1)
 
 
 def test_report_types_are_frozen():
@@ -308,7 +314,7 @@ def test_report_types_are_frozen():
     with pytest.raises(AttributeError):
         rep.count = 2
     est = MonteCarloEstimate(
-        samples=1, hits=1, estimate=1.0, std_error=0.0, seed=0, range_n=1, streams=1
+        samples=1, hits=1, estimate=1.0, std_error=0.0, seed=0, range_n=1
     )
     with pytest.raises(AttributeError):
         est.hits = 0
