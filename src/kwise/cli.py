@@ -9,8 +9,8 @@ byte-identical output.
 Exit codes: 0 success, 1 a verification identity failed (including shift
 operators that disagree), 2 invalid input (an --output FILE that cannot be
 opened included), 3 the request exceeds a budget (an exact count above
---budget, a sieve or a trial division above arith.MAX_SIEVE, a --precision
-above density.MAX_PRECISION, or a verify-lemma4 sweep above
+--budget, a sieve or a trial division above arith.MAX_SIEVE, a density
+--precision above density.MAX_PRECISION, or a verify-lemma4 sweep above
 MAX_LEMMA4_CELLS cells).  Both verify sweeps check their inputs and their
 limit before the first cell: verify-recursion refuses an s, --threads,
 --budget or --n-max out of range (2) and an --n-max whose largest direct
@@ -122,7 +122,7 @@ def _run_converge(inp: dict) -> tuple[dict, int]:
     inp["grid"] = _parse_int_list(inp["grid"], "--grid")
     rows = convergence_table(
         inp["s"], constraint, inp["grid"],
-        prime_limit=inp["prime_limit"], precision=inp["precision"], **_work(inp),
+        prime_limit=inp["prime_limit"], **_work(inp),
     )
     return {"rows": [asdict(r) for r in rows]}, 0
 
@@ -187,10 +187,7 @@ _SHAPE = (
     ("k", "--k", dict(type=int, help="coprimality order; implied by --u")),
     ("u", "--u", dict(help="comma-separated moduli u_1,...,u_{k-1}")),
 )
-_DENS = (
-    ("prime_limit", "--prime-limit", dict(type=int, default=DEFAULT_PRIME_LIMIT)),
-    ("precision", "--precision", dict(type=int, default=DEFAULT_PRECISION)),
-)
+_PRIME_LIMIT = ("prime_limit", "--prime-limit", dict(type=int, default=DEFAULT_PRIME_LIMIT))
 _WORK = (
     ("threads", "--threads",
      dict(type=int, help="accepted and recorded (>= 1); counting runs serially")),
@@ -198,7 +195,11 @@ _WORK = (
 )
 
 _COMMANDS = {
-    "density": _Command("limiting density enclosure", (*_SHAPE, *_DENS), _run_density, _ENCLOSURE),
+    "density": _Command("limiting density enclosure", (
+        *_SHAPE,
+        _PRIME_LIMIT,
+        ("precision", "--precision", dict(type=int, default=DEFAULT_PRECISION)),
+    ), _run_density, _ENCLOSURE),
     "count": _Command("exact count over [1,n]^s", (
         *_SHAPE,
         ("n", "--n", dict(type=int, required=True)),
@@ -211,7 +212,7 @@ _COMMANDS = {
         ("seed", "--seed", dict(type=int, default=0)),
     ), _run_mc, ("samples", "hits", "estimate", "std_error", "seed", "range_n")),
     "converge": _Command("exact counts vs prediction over a grid", (
-        *_SHAPE, *_DENS, *_WORK,
+        *_SHAPE, _PRIME_LIMIT, *_WORK,
         ("grid", "--grid", dict(required=True, help="comma-separated n values")),
     ), _run_converge, ("n", "count", "predicted", "abs_error", "normalized_error"), rows="rows"),
     "verify-lemma4": _Command("check the Mobius-sum route to the constraint factors", (

@@ -64,7 +64,8 @@ class ConstraintVector:
         object.__setattr__(self, "moduli", tuple(moduli))
         if not moduli:
             raise ConstraintError("constraint vector needs at least one modulus (k >= 2)")
-        for a, b in combinations(range(len(moduli)), 2):
+        # gcd(1, m) = 1, so only the moduli above 1 can share a factor
+        for a, b in combinations([i for i, m in enumerate(moduli) if m != 1], 2):
             g = gcd(moduli[a], moduli[b])
             if g != 1:
                 raise ConstraintError(
@@ -288,7 +289,10 @@ def _check_work(s: int, n: int, threads: int, budget: int) -> tuple[int, int]:
     verify-recursion sweep (whose command checks the largest before the
     first) and each entry of a convergence grid.  Integers only, threads
     included (a float is a TypeError); returns s and n as Python ints, on
-    which n**s cannot wrap.
+    which n**s cannot wrap.  For n >= 2, n**s >= 2^((bit_length(n) - 1) * s)
+    refuses a volume past the budget's bit length before n**s is built, so
+    the exact comparison only ever builds a power of about twice the
+    budget's size; the message names the volume as n^s, never its digits.
     """
     s, n, threads, budget = map(operator.index, (s, n, threads, budget))
     if threads < 1:
@@ -299,8 +303,8 @@ def _check_work(s: int, n: int, threads: int, budget: int) -> tuple[int, int]:
         raise ValueError(f"n must be nonnegative, got {n}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if n**s > budget:
-        raise BudgetError(f"enumeration volume n^s = {n**s} exceeds the budget of {budget} cells")
+    if n >= 2 and (n.bit_length() - 1) * s > budget.bit_length() or n**s > budget:
+        raise BudgetError(f"enumeration volume n^s = {n}^{s} exceeds the budget of {budget} cells")
     return s, n
 
 

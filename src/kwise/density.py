@@ -281,8 +281,11 @@ def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, F
     Returns (i, mobius-sum value, factor-ratio value, equal) for each i in
     1..k-1.  Exact rational comparison; any inequality is a real defect in
     one of the two routes, never a rounding artifact.  Each constraint
-    factor is computed once and serves both ratios it appears in.
+    factor is computed once and serves both ratios it appears in.  s, k
+    and u are integers (a float is a TypeError), so every value is a
+    Fraction of Python ints and every flag a Python bool.
     """
+    s, k, u = map(operator.index, (s, k, u))
     _validate_order(s, k)
     factors = [constraint_factor(s, k, i, u) for i in range(1, k)] + [Fraction(1)]
     out = []

@@ -110,10 +110,7 @@ class RecursionReport:
     shifts.  All three must agree.
     """
 
-    s: int
-    k: int
     n: int
-    moduli: tuple[int, ...]
     lhs: int
     rhs_reduced: int
     rhs_raw: int
@@ -171,15 +168,7 @@ def _verify(
         counts = {caps: _count_caps(s, k, caps, n, memo=memo) for caps in maps}
         rhs_reduced = sum(counts[reduced] for reduced, _ in pairs)
         rhs_raw = sum(counts[raw] for _, raw in pairs)
-        yield RecursionReport(
-            s=s,
-            k=k,
-            n=n,
-            moduli=constraint.moduli,
-            lhs=lhs,
-            rhs_reduced=rhs_reduced,
-            rhs_raw=rhs_raw,
-        )
+        yield RecursionReport(n=n, lhs=lhs, rhs_reduced=rhs_reduced, rhs_raw=rhs_raw)
 
 
 def verify_recursion(

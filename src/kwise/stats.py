@@ -34,12 +34,7 @@ from .coprime import (
     _count_caps,
     _prime_caps,
 )
-from .density import (
-    DEFAULT_PRECISION,
-    DEFAULT_PRIME_LIMIT,
-    error_log_exponent,
-    limiting_density,
-)
+from .density import DEFAULT_PRIME_LIMIT, error_log_exponent, limiting_density
 
 # numpy is imported inside the sampling functions: only `mc` needs it, and
 # every other command would otherwise pay for its import at start-up
@@ -95,7 +90,6 @@ def convergence_table(
     n_grid: Sequence[int],
     *,
     prime_limit: int = DEFAULT_PRIME_LIMIT,
-    precision: int = DEFAULT_PRECISION,
     threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> list[CountReport]:
@@ -104,6 +98,8 @@ def convergence_table(
     Every grid entry is checked (_check_work), in grid order, before the
     density or any count is computed, so an over-budget entry is refused
     before any work.  The counts share one cap map and one engine memo.
+    The prediction is a float, so it reads the density at the default
+    density.DEFAULT_PRECISION digits, far more than a float holds.
     """
     grid = list(n_grid)
     if not grid:
@@ -113,7 +109,7 @@ def convergence_table(
             raise ValueError(f"grid entries must be positive integers, got {n}")
     for i, n in enumerate(grid):
         s, grid[i] = _check_work(s, n, threads, budget)
-    enclosure = limiting_density(s, constraint, prime_limit, precision)
+    enclosure = limiting_density(s, constraint, prime_limit)
     density = float(enclosure.point)
     k = constraint.k
     d = error_log_exponent(s, k)

@@ -213,9 +213,7 @@ def test_oversized_sieve_refused_before_allocation(monkeypatch, capsys, argv):
     assert err.startswith("error[budget]:")
 
 
-@pytest.mark.parametrize(
-    "command", [("density",), ("converge", "--grid", "5")], ids=["density", "converge"]
-)
+@pytest.mark.parametrize("command", [("density",)], ids=["density"])
 def test_precision_above_the_limit_refused_before_work(monkeypatch, capsys, command):
     def started(*args):
         raise AssertionError("the enclosure was started")
@@ -252,7 +250,7 @@ def test_recursion_sweep_above_the_budget_refused_before_work(monkeypatch, capsy
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == (
-        f"error[budget]: enumeration volume n^s = {1000**3} exceeds the budget of "
+        "error[budget]: enumeration volume n^s = 1000^3 exceeds the budget of "
         f"{coprime.DEFAULT_BUDGET} cells\n"
     )
 
@@ -268,7 +266,7 @@ def test_converge_grid_above_the_budget_refused_before_work(monkeypatch, capsys)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == (
-        f"error[budget]: enumeration volume n^s = {100000**2} exceeds the budget of "
+        "error[budget]: enumeration volume n^s = 100000^2 exceeds the budget of "
         f"{coprime.DEFAULT_BUDGET} cells\n"
     )
 
@@ -278,7 +276,32 @@ def test_recursion_sweep_at_the_budget_runs(capsys):
     code, out, _ = run_cli(capsys, *argv, "--budget", "100")
     assert code == 0 and json.loads(out)["result"]["cells"] == 10
     code, out, err = run_cli(capsys, *argv, "--budget", "99")
-    assert (code, out) == (3, "") and err.startswith("error[budget]: enumeration volume n^s = 100")
+    assert (code, out) == (3, "")
+    assert err.startswith("error[budget]: enumeration volume n^s = 10^2 ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--s", "5000", "--k", "2", "--n", "10"),
+        ("converge", "--s", "5000", "--k", "2", "--grid", "10"),
+        ("verify-recursion", "--s", "5000", "--k", "2", "--n-max", "10"),
+    ],
+    ids=["count", "converge", "verify-recursion"],
+)
+def test_volume_of_more_than_4300_digits_is_a_budget_refusal(capsys, argv):
+    # 10^5000 has more digits than int-to-str allows: the message names n^s, not its value
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error[budget]: enumeration volume n^s = 10^500")
+
+
+def test_converge_has_no_precision(capsys):
+    # converge's float rows read the density at its default precision: --precision is unknown
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["converge", "--s", "2", "--k", "2", "--grid", "5", "--precision", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision 50" in capsys.readouterr().err
 
 
 def test_lemma4_sweep_at_the_limit_runs(monkeypatch, capsys):
@@ -386,7 +409,7 @@ RECORDED_INPUTS = [
     ),
     (
         "converge",
-        ("s", "k", "u", "prime_limit", "precision", "threads", "budget", "grid"),
+        ("s", "k", "u", "prime_limit", "threads", "budget", "grid"),
         ("--s", "2", "--k", "2", "--grid", "5"),
     ),
     ("verify-lemma4", ("s", "k", "u_max"), ("--s", "2", "--k", "2")),
@@ -446,10 +469,7 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     # force a failing report through the reporting path
     def fake_sweep(s, constraint, ns, threads=1, budget=0):
         for n in ns:
-            yield RecursionReport(
-                s=s, k=constraint.k, n=n, moduli=constraint.moduli,
-                lhs=10, rhs_reduced=10, rhs_raw=9,
-            )
+            yield RecursionReport(n=n, lhs=10, rhs_reduced=10, rhs_raw=9)
 
     monkeypatch.setattr(cli, "_verify", fake_sweep)
     code, out, _ = run_cli(capsys, "verify-recursion", "--s", "1", "--k", "2", "--n-max", "2")

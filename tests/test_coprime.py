@@ -1,5 +1,5 @@
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from kwise.coprime import (
     BudgetError,
     ConstraintError,
     ConstraintVector,
+    _check_work,
     _count_caps,
     _prime_caps,
     count_tuples,
@@ -55,6 +56,23 @@ def test_constraint_vector_names_offending_pair():
         ConstraintVector((5, 6, 35))
     with pytest.raises(ConstraintError, match=r"gcd\(u_2, u_3\) = 2"):
         ConstraintVector((9, 10, 4))
+    # a modulus of 1 takes no part in the pairwise check, wherever it stands
+    with pytest.raises(ConstraintError, match=r"gcd\(u_2, u_4\) = 3"):
+        ConstraintVector((1, 3, 1, 9))
+
+
+def test_trivial_constraint_takes_no_gcd(monkeypatch):
+    # gcd(1, m) = 1, so no modulus of 1 is compared: trivial(k) takes no gcd at all
+    calls = []
+
+    def counted_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(coprime, "gcd", counted_gcd)
+    assert ConstraintVector.trivial(1000).k == 1000
+    assert ConstraintVector((1, 5, 1, 6, 1)).moduli == (1, 5, 1, 6, 1)
+    assert calls == [(5, 6)]
 
 
 def test_predicate_examples():
@@ -226,6 +244,20 @@ def test_budget_enforced():
     # a numpy n is checked as a Python int: 2^64 does not wrap to 0 under the budget
     with pytest.raises(BudgetError):
         count_tuples(4, ConstraintVector.trivial(2), np.int64(2**16))
+    # refused from bit lengths: 10^(10^6) is never built, let alone printed
+    with pytest.raises(BudgetError, match=r"n\^s = 10\^1000000 exceeds"):
+        count_tuples(10**6, ConstraintVector.trivial(2), 10)
+
+
+def test_budget_boundary_is_exact():
+    # the bit-length shortcut refuses only volumes that are really above the budget
+    for n in range(41):
+        for s in range(1, 13):
+            volume = n**s
+            assert _check_work(s, n, 1, volume) == (s, n)
+            if volume:
+                with pytest.raises(BudgetError):
+                    _check_work(s, n, 1, volume - 1)
 
 
 def test_count_input_validation():

@@ -200,6 +200,16 @@ def test_mobius_route_rejects_an_order_below_two():
             mobius_ratio_identity(s, k, 6)
 
 
+def test_mobius_route_takes_numpy_ints():
+    want = mobius_ratio_identity(2, 3, 30)
+    got = mobius_ratio_identity(np.int64(2), np.int64(3), np.int64(30))
+    assert got == want
+    assert all(type(ok) is bool for *_, ok in got)
+    assert all(type(v.numerator) is int for _, lhs, rhs, _ in got for v in (lhs, rhs))
+    with pytest.raises(TypeError):
+        mobius_ratio_identity(2, 3, 30.0)
+
+
 def test_error_log_exponent():
     assert error_log_exponent(2, 2) == 1
     assert error_log_exponent(4, 3) == 3

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import product
 from math import gcd
 
@@ -113,9 +114,8 @@ def test_skipped_j_contribute_nothing():
 
 def test_recursion_report_example():
     rep = verify_recursion(1, ConstraintVector((1,)), 4)
-    assert rep == RecursionReport(
-        s=1, k=2, n=4, moduli=(1,), lhs=11, rhs_reduced=11, rhs_raw=11
-    )
+    assert rep == RecursionReport(n=4, lhs=11, rhs_reduced=11, rhs_raw=11)
+    assert [f.name for f in fields(RecursionReport)] == ["n", "lhs", "rhs_reduced", "rhs_raw"]
     assert rep.passed
 
 

@@ -104,6 +104,9 @@ def test_convergence_validation():
         convergence_table(2, c, [10.5])
     with pytest.raises(TypeError):
         convergence_table(2, c, [10], threads=1.5)
+    # the float rows read the density at its default precision: there is no precision
+    with pytest.raises(TypeError):
+        convergence_table(2, c, [10], precision=50)
     rows = convergence_table(np.int64(2), c, np.array([10, 100]), prime_limit=1000)
     assert rows == convergence_table(2, c, [10, 100], prime_limit=1000)
     assert all(type(r.n) is int and type(r.count) is int for r in rows)
