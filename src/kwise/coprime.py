@@ -292,7 +292,9 @@ def _check_work(s: int, n: int, threads: int, budget: int) -> tuple[int, int]:
     which n**s cannot wrap.  For n >= 2, n**s >= 2^((bit_length(n) - 1) * s)
     refuses a volume past the budget's bit length before n**s is built, so
     the exact comparison only ever builds a power of about twice the
-    budget's size; the message names the volume as n^s, never its digits.
+    budget's size; the message names the volume as n^s, never its digits,
+    and an integer past 2048 bits (617 digits; Python's int-to-str limit is
+    at least 640) by its bit length.
     """
     s, n, threads, budget = map(operator.index, (s, n, threads, budget))
     if threads < 1:
@@ -304,6 +306,8 @@ def _check_work(s: int, n: int, threads: int, budget: int) -> tuple[int, int]:
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if n >= 2 and (n.bit_length() - 1) * s > budget.bit_length() or n**s > budget:
+        n, s, budget = (x if x.bit_length() <= 2048 else f"({x.bit_length()}-bit integer)"
+                        for x in (n, s, budget))
         raise BudgetError(f"enumeration volume n^s = {n}^{s} exceeds the budget of {budget} cells")
     return s, n
 

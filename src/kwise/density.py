@@ -140,6 +140,8 @@ def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
     _validate_order(s, k)
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be at least 2, got {prime_limit}")
+    if s < k:
+        return Fraction(0)
     return Fraction(comb(s, k), (k - 1) * prime_limit ** (k - 1))
 
 
@@ -326,7 +328,8 @@ def limiting_density(
     primes = sieve_primes(prime_limit) if s >= k else []
     factor = Fraction(1)
     for i, u in enumerate(constraint.moduli, start=1):
-        factor *= constraint_factor(s, k, i, u)
+        if u != 1:  # constraint_factor is 1 at u = 1
+            factor *= constraint_factor(s, k, i, u)
     tail_bound = _decimal_ratio(tail.numerator, tail.denominator, precision, ROUND_CEILING)
     return DensityEnclosure(
         *_interval_enclosure(s, k, primes, factor, tail, precision), prime_limit, tail_bound

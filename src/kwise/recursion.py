@@ -34,17 +34,6 @@ __all__ = [
 ]
 
 
-def _check_shift_args(j: int, constraint: ConstraintVector) -> None:
-    _check_constraint(constraint)
-    if j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    g = gcd(j, constraint.moduli[0])
-    if g != 1:
-        raise ValueError(
-            f"j must be coprime to u_1: gcd({j}, {constraint.moduli[0]}) = {g}"
-        )
-
-
 def reduce_constraint_raw(j: int, constraint: ConstraintVector) -> tuple[int, ...]:
     """Shift a fixed last coordinate j into the moduli, without cleanup.
 
@@ -52,47 +41,43 @@ def reduce_constraint_raw(j: int, constraint: ConstraintVector) -> tuple[int, ..
     j * u_{k-1}.  The components usually violate pairwise coprimality, which
     is fine for counting: a prime in several components is simply bound by
     its smallest cap (_prime_caps).  So they come back as a plain tuple,
-    which no entry that needs a ConstraintVector accepts.
+    which no entry that needs a ConstraintVector accepts.  Both shifts check
+    j and the constraint here.
     """
-    _check_shift_args(j, constraint)
+    _check_constraint(constraint)
+    if j < 1:
+        raise ValueError(f"j must be a positive integer, got {j}")
     u = constraint.moduli
-    k = constraint.k
-    comps = [u[i] * gcd(j, u[i + 1]) for i in range(k - 2)]
-    comps.append(j * u[k - 2])
-    return tuple(comps)
+    g = gcd(j, u[0])
+    if g != 1:
+        raise ValueError(f"j must be coprime to u_1: gcd({j}, {u[0]}) = {g}")
+    return (*(u[i] * gcd(j, u[i + 1]) for i in range(len(u) - 1)), j * u[-1])
 
 
 def reduce_constraint(j: int, constraint: ConstraintVector) -> ConstraintVector:
     """Shift a fixed last coordinate j into the moduli, restoring coprimality.
 
-    Counts the same tuples as the raw shift: each prime power that the raw
-    components share is divided out of all but the component with the
-    tightest cap.  Any inexact division or residual common factor means the
-    operator definitions disagree, so both raise instead of patching.
+    Counts the same tuples as the raw shift, and is the raw shift with the
+    prime powers its components share divided out of all but the component
+    with the tightest cap: component 1 stays (j is coprime to u_1), a middle
+    component i loses tight_part(j, u_i), and the last loses
+    tight_part(j, u_{k-1}) times the co_part(j, u_i) of i = 2..k-1.  Any
+    inexact division or residual common factor means the operator
+    definitions disagree, so both raise instead of patching.
     """
-    _check_shift_args(j, constraint)
+    comps = list(reduce_constraint_raw(j, constraint))
     u = constraint.moduli
-    k = constraint.k
-    comps = []
-    if k >= 3:
-        comps.append(u[0] * gcd(j, u[1]))
-    for i in range(2, k - 1):
-        num = u[i - 1] * gcd(j, u[i])
-        den = tight_part(j, u[i - 1])
-        if num % den:
+    last = len(comps) - 1
+    for i in (*range(1, last), last):
+        den = tight_part(j, u[i])
+        if i == last:
+            for m in u[1:]:
+                den *= co_part(j, m)
+        if comps[i] % den:
             raise ArithmeticError(
-                f"component {i} of the reduced shift is not integral: {num}/{den}"
+                f"component {i + 1} of the reduced shift is not integral: {comps[i]}/{den}"
             )
-        comps.append(num // den)
-    den = tight_part(j, u[k - 2])
-    for i in range(1, k - 1):
-        den *= co_part(j, u[i])
-    num = j * u[k - 2]
-    if num % den:
-        raise ArithmeticError(
-            f"component {k - 1} of the reduced shift is not integral: {num}/{den}"
-        )
-    comps.append(num // den)
+        comps[i] //= den
     try:
         return ConstraintVector(tuple(comps))
     except ConstraintError as exc:

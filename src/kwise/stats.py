@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 from .coprime import (
@@ -155,12 +156,15 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, seeds: tuple[int, .
 
     A row with such a prime fails whatever the later columns hold, so the
     rows that fail at column m leave live before column m + 1: the later
-    columns are gathered through live and only for the rows still open.
+    columns are gathered through live and only for the rows still open, and
+    the walk ends once no row is.
     """
     import numpy as np
 
     top, d = k - 1, len(seeds)
     for m in range(max(top - d, 0), cols.shape[1]):
+        if not len(live):
+            break
         x = cols[live, m]
         low = max(top - m, 1)
         found = {
@@ -208,9 +212,9 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
         live = np.flatnonzero(evens < lim)
     else:
         live = np.arange(n)
-    # the seeds of levels 1, 2, ... divide each other, and those past the deepest u_i != 1 are 1
+    # level j's seed is the prefix product u_1 ... u_{k-j}; past the deepest u_i != 1 it is 1
     k = min(k, s + 1)
-    seeds = tuple(u for j in range(1, k) if (u := math.prod(moduli[: k - j])) != 1)
+    seeds = tuple(u for u in reversed(list(accumulate(moduli[: k - 1], operator.mul))) if u != 1)
     return len(_no_prime_on(rows, k, live, seeds))
 
 

@@ -247,6 +247,16 @@ def test_budget_enforced():
     # refused from bit lengths: 10^(10^6) is never built, let alone printed
     with pytest.raises(BudgetError, match=r"n\^s = 10\^1000000 exceeds"):
         count_tuples(10**6, ConstraintVector.trivial(2), 10)
+    # and an integer past 2048 bits is named by its size: 10^4400 - 1 has more
+    # digits than Python's default int-to-str limit of 4300 lets it print
+    with pytest.raises(BudgetError) as exc:
+        count_tuples(2, ConstraintVector.trivial(2), 10**2200, budget=10**4400 - 1)
+    assert str(exc.value) == (
+        "enumeration volume n^s = (7309-bit integer)^2 exceeds the budget of "
+        "(14617-bit integer) cells"
+    )
+    with pytest.raises(BudgetError, match=r"= \(16610-bit integer\)\^1 exceeds the budget of 10 "):
+        count_tuples(1, ConstraintVector.trivial(2), 10**5000, budget=10)
 
 
 def test_budget_boundary_is_exact():

@@ -226,6 +226,8 @@ def test_tail_fraction():
     assert tail_fraction(2, 2, 1000) == Fraction(1, 1000)
     assert tail_fraction(3, 2, 100) == Fraction(3, 100)
     assert tail_fraction(2, 3, 10) == 0
+    # below k the tail is 0 without building prime_limit^(k - 1)
+    assert tail_fraction(2, 10**6, 10**5) == 0
     values = [tail_fraction(4, 3, P) for P in (10, 100, 1000)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -307,6 +309,19 @@ def test_probability_exact_when_s_below_k():
         enc = kwise_coprime_probability(s, k, 100)
         assert enc.lower == enc.upper == enc.point == 1
         assert enc.tail_bound == 0
+
+
+def test_limiting_density_skips_moduli_of_one(monkeypatch):
+    calls = []
+    factor = density.constraint_factor
+    monkeypatch.setattr(density, "constraint_factor", lambda *a: calls.append(a) or factor(*a))
+    enc = limiting_density(2, ConstraintVector.trivial(1000))
+    assert calls == []
+    assert (enc.lower, enc.upper, enc.point, enc.tail_bound) == (1, 1, 1, 0)
+    assert enc.prime_limit == density.DEFAULT_PRIME_LIMIT
+    # a modulus other than 1 still enters the product, at its own order
+    assert limiting_density(3, ConstraintVector((1, 5)), 1000).point < 1
+    assert calls == [(3, 3, 2, 5)]
 
 
 def test_probability_point_is_truncated_product():

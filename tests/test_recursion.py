@@ -38,6 +38,26 @@ def test_reduced_shift_examples():
     assert reduce_constraint(1, ConstraintVector((5, 6))).moduli == (5, 6)
 
 
+def test_reduced_shift_divides_the_raw_shift(monkeypatch):
+    # the reduced shift takes its numerators from the raw shift, once, and only divides
+    calls = []
+    raw_shift = recursion.reduce_constraint_raw
+    monkeypatch.setattr(
+        recursion, "reduce_constraint_raw", lambda j, c: calls.append(j) or raw_shift(j, c)
+    )
+    assert reduce_constraint(4, ConstraintVector((5, 6, 7))).moduli == (10, 3, 7)
+    assert calls == [4]
+    for moduli in ((1,), (6,), (5, 6), (4, 9), (5, 6, 7), (3, 5, 7, 11), (1, 4, 9, 25)):
+        c = ConstraintVector(moduli)
+        for j in range(1, 61):
+            if gcd(j, moduli[0]) != 1:
+                continue
+            raw, reduced = raw_shift(j, c), reduce_constraint(j, c).moduli
+            # component 1 keeps its value once there is another one; j is coprime to u_1
+            assert len(raw) == 1 or reduced[0] == raw[0]
+            assert all(r % q == 0 for r, q in zip(raw, reduced)), (moduli, j)
+
+
 def test_shift_validation():
     c = ConstraintVector((4, 9))
     with pytest.raises(ValueError, match=r"gcd\(6, 4\) = 2"):

@@ -176,6 +176,34 @@ def test_evaluator_all_rows_fail_before_last_column():
     assert _hits(rows, 3, (1, 5)) == _oracle_hits(rows, 3, (1, 5))
 
 
+def test_evaluator_stops_once_no_row_is_live(monkeypatch):
+    # k = 2 fails at two even entries, so the parity pass drops every all-even
+    # row and the gcd walk has no row to decide: no column may be walked
+    calls = []
+    gcd = np.gcd
+    monkeypatch.setattr(np, "gcd", lambda *args: calls.append(1) or gcd(*args))
+    rows = np.full((4, 200), 6, dtype=np.int64)
+    assert _hits(rows, 2, (1,)) == 0
+    assert calls == []
+
+
+def test_evaluator_level_seeds_take_linear_work(monkeypatch):
+    # s = k = 2000 has 1999 levels; their seeds are prefix products of the
+    # moduli, so building them may not multiply a prefix again per level
+    factors = []
+    prod = math.prod
+    monkeypatch.setattr(math, "prod", lambda xs, **kw: prod(factors.extend(xs) or xs, **kw))
+    rows = np.ones((1, 2000), dtype=np.int64)
+    moduli = (1,) * 1999
+    assert _hits(rows, 2000, moduli) == 1
+    assert len(factors) <= 2000
+    # each level's seed is still the product of its moduli
+    rng = np.random.Generator(np.random.PCG64(26))
+    rows = rng.integers(1, 30, size=(300, 5), dtype=np.int64, endpoint=True)
+    for moduli in ((1, 3, 1, 5), (7, 1, 2, 1), (1, 1, 1, 6)):
+        assert _hits(rows, 5, moduli) == _oracle_hits(rows, 5, moduli)
+
+
 def test_evaluator_orders_above_s_hold_for_every_row():
     # k = 5 > s = 3, and the one modulus sits at order 4 > s: nothing to check
     rng = np.random.Generator(np.random.PCG64(22))
