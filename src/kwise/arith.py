@@ -1,4 +1,4 @@
-"""Prime sieve, factorization and the small multiplicative functions.
+"""Prime sieve, factorization, primality and the prime-support parts of a number.
 
 Everything here works on plain Python ints so results stay exact no matter
 how large the operands get.  A factorization is a plain tuple of
@@ -18,13 +18,9 @@ __all__ = [
     "Factorization",
     "MAX_SIEVE",
     "co_part",
-    "euler_phi",
     "factorize",
     "is_prime",
-    "mobius",
-    "omega",
     "sieve_primes",
-    "squarefree_divisor_count",
     "tight_part",
 ]
 
@@ -101,30 +97,6 @@ def factorize(n: int) -> Factorization:
     if rest > 1:
         pairs.append((rest, 1))
     return tuple(pairs)
-
-
-def mobius(n: int) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)^omega(n)."""
-    f = factorize(n)
-    return 0 if any(e > 1 for _, e in f) else (-1) ** len(f)
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    return len(factorize(n))
-
-
-def squarefree_divisor_count(n: int) -> int:
-    """Number of squarefree divisors of n, i.e. 2**omega(n)."""
-    return 1 << omega(n)
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient."""
-    out = n
-    for p, _ in factorize(n):
-        out = out // p * (p - 1)
-    return out
 
 
 def tight_part(a: int, b: int) -> int:

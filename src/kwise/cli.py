@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
 from math import isfinite
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import sieve_primes
 from .coprime import (
@@ -113,8 +113,11 @@ def _run_count(inp: dict) -> tuple[dict, int]:
 
 def _run_mc(inp: dict) -> tuple[dict, int]:
     constraint = _resolve_constraint(inp)
+    # kwise makes no BLAS call, but OpenBLAS starts a pool of spinning threads
+    # when numpy loads, which costs CPU time; a value the user set still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     est = monte_carlo(inp["s"], constraint, inp["range_n"], inp["samples"], inp["seed"])
-    return asdict(est), 0
+    return est._asdict(), 0
 
 
 def _run_converge(inp: dict) -> tuple[dict, int]:
@@ -124,7 +127,7 @@ def _run_converge(inp: dict) -> tuple[dict, int]:
         inp["s"], constraint, inp["grid"],
         prime_limit=inp["prime_limit"], **_work(inp),
     )
-    return {"rows": [asdict(r) for r in rows]}, 0
+    return {"rows": [r._asdict() for r in rows]}, 0
 
 
 def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
@@ -163,8 +166,7 @@ def _run_primes(inp: dict) -> tuple[dict, int]:
     return {"count": len(primes), "primes": primes}, 0
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """What the CLI needs to know about one command.
 
     options declares the command's flags as (input name, flag, add_argument

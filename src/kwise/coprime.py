@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd, prod
@@ -39,39 +38,54 @@ class ConstraintError(ValueError):
     """Raised when a constraint vector is malformed."""
 
 
-@dataclass(frozen=True)
 class ConstraintVector:
     """Pairwise-coprime moduli (u_1, ..., u_{k-1}) attached to a tuple problem.
 
     Entry u_i demands that every i entries of a tuple have gcd coprime to
     u_i; the vector length fixes k, the order of the k-wise condition.
     Moduli equal to 1 impose nothing, so ``trivial(k)`` encodes a bare
-    k-wise problem.
+    k-wise problem.  Immutable: moduli is read-only, and equality and hash
+    go by moduli.
     """
 
-    moduli: tuple[int, ...]
+    __slots__ = ("_moduli",)
 
-    def __post_init__(self) -> None:
-        moduli = []
-        for i, m in enumerate(self.moduli, start=1):
+    def __init__(self, moduli: tuple[int, ...]) -> None:
+        checked = []
+        for i, m in enumerate(moduli, start=1):
             try:
                 m = operator.index(m)
             except TypeError:
                 raise TypeError(f"modulus u_{i} must be an integer, got {m!r}") from None
             if m < 1:
                 raise ConstraintError(f"modulus u_{i} must be a positive integer, got {m}")
-            moduli.append(m)
-        object.__setattr__(self, "moduli", tuple(moduli))
-        if not moduli:
+            checked.append(m)
+        if not checked:
             raise ConstraintError("constraint vector needs at least one modulus (k >= 2)")
         # gcd(1, m) = 1, so only the moduli above 1 can share a factor
-        for a, b in combinations([i for i, m in enumerate(moduli) if m != 1], 2):
-            g = gcd(moduli[a], moduli[b])
+        for a, b in combinations([i for i, m in enumerate(checked) if m != 1], 2):
+            g = gcd(checked[a], checked[b])
             if g != 1:
                 raise ConstraintError(
                     f"moduli must be pairwise coprime: gcd(u_{a + 1}, u_{b + 1}) = {g} "
-                    f"for u_{a + 1} = {moduli[a]}, u_{b + 1} = {moduli[b]}"
+                    f"for u_{a + 1} = {checked[a]}, u_{b + 1} = {checked[b]}"
                 )
+        self._moduli = tuple(checked)
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return self._moduli
+
+    def __repr__(self) -> str:
+        return f"ConstraintVector(moduli={self._moduli!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._moduli == other._moduli
+
+    def __hash__(self) -> int:
+        return hash((self._moduli,))
 
     @property
     def k(self) -> int:

@@ -17,12 +17,12 @@ apart, those of the exact product itself.  F grows as the product falls.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from math import comb, prod
+from typing import NamedTuple
 
 from .arith import BudgetError, factorize, is_prime, sieve_primes
 from .coprime import ConstraintVector, _check_constraint
@@ -39,7 +39,6 @@ __all__ = [
     "limiting_density",
     "local_factor",
     "mobius_ratio_identity",
-    "mobius_sum_weight",
     "tail_fraction",
 ]
 
@@ -49,8 +48,7 @@ DEFAULT_PRIME_LIMIT = 100_000
 MAX_PRECISION = 10**5
 
 
-@dataclass(frozen=True)
-class DensityEnclosure:
+class DensityEnclosure(NamedTuple):
     """Certified decimal enclosure of a limiting density.
 
     lower and upper bound the exact limit from below and above; point is
@@ -236,31 +234,14 @@ def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
     return Fraction(num, den)
 
 
-def mobius_sum_weight(s: int, i: int, d: int) -> Fraction:
-    """Weight d^i * prod_{p|d} sum_{m<=i} C(s,m) (1-1/p)^(i-m) p^-m.
-
-    The denominator weight appearing in the Mobius-sum form of the
-    constraint factors.  The prime powers cancel, leaving the integer
-    (d / rad d)^i * prod_{p|d} W(s, i + 1, p); for squarefree d that is
-    prod_{p|d} sum_{m<=i} C(s,m)(p-1)^(i-m).
-    """
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if i < 1:
-        raise ValueError(f"i must be at least 1, got {i}")
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    primes = [p for p, _ in factorize(d)]
-    return Fraction((d // prod(primes)) ** i * prod(_weight(s, i + 1, p) for p in primes))
-
-
 def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
     """Mobius-sum route to the constraint factors.
 
     Evaluates sum over squarefree divisors d of u of mu(d) C(s,i)^omega(d) /
-    prod_{p|d} w_p with w_p = W(s, i + 1, p), the squarefree case of
-    mobius_sum_weight(s, i, d): over the denominator prod_{p|u} w_p, the d
-    made of the primes T adds (-C(s,i))^|T| times the w_p outside T.  Still
+    prod_{p|d} w_p with w_p = W(s, i + 1, p), the Mobius-sum weight
+    p^i sum_{m<=i} C(s,m) (1-1/p)^(i-m) p^-m of one prime: over the
+    denominator prod_{p|u} w_p, the d made of the primes T adds
+    (-C(s,i))^|T| times the w_p outside T.  Still
     the inclusion-exclusion sum, independent of the product route and its
     per-prime ratio W(s, i, p) / W(s, k, p).  Equals
     constraint_factor(s,k,i,u) / constraint_factor(s,k,i+1,u) for i < k - 1

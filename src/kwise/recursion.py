@@ -10,9 +10,8 @@ cell by cell, exercises every operator at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import co_part, tight_part
 from .coprime import (
@@ -86,8 +85,7 @@ def reduce_constraint(j: int, constraint: ConstraintVector) -> ConstraintVector:
         ) from exc
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     """One verified cell of the counting recursion.
 
     lhs is the direct (s+1)-tuple count; rhs_reduced and rhs_raw sum the

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .coprime import (
     DEFAULT_BUDGET,
@@ -55,8 +54,7 @@ _CHUNK_ROWS = 1 << 16
 _CHUNK_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Exact count at one n against the density prediction.
 
     normalized_error divides the absolute error by n^(s-1) * log(n)^d with
@@ -73,8 +71,7 @@ class CountReport:
     normalized_error: float
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     """Sampled estimate of the constraint density on [1, range_n]^s."""
 
     samples: int
@@ -188,16 +185,19 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
 
     A prime may divide at most k - 1 entries, and a prime of u_i at most
     i - 1, so _no_prime_on seeds it at level k - i.  Level j is seeded with
-    the product of the u_i with k - i >= j: they are pairwise coprime, so
-    its gcd with x is the product of the gcd(x, u_i).  An order above s
+    the product of the u_i with 2 <= i <= k - j: they are pairwise coprime,
+    so its gcd with x is the product of the gcd(x, u_i).  An order above s
     holds for every row of s entries, so the walk has order at most s + 1,
     and a modulus at an order above s seeds nothing.
 
-    The prime 2 is decided first, by parity: it fails at k entries, and at
-    i entries for an even u_i, so a row with at least lim = min(k, each
-    such i) even entries fails.  Dropping those rows loses no passing row,
-    and the walk still sees 2 in the rows that remain, so every verdict is
-    exact.
+    Two passes over the columns decide some primes before the walk.  The
+    prime 2 is decided by parity: it fails at k entries, and at i entries
+    for an even u_i, so a row with at least lim = min(k, each such i) even
+    entries fails.  A prime of u_1 may divide no entry, so a row with an
+    entry that shares a factor with u_1 fails, and u_1 seeds no level of the
+    walk, where a seed at level k - 1 would lift every level at every
+    earlier column.  Dropping those rows loses no passing row, and the walk
+    still sees 2 in the rows that remain, so every verdict is exact.
     """
     import numpy as np
 
@@ -212,9 +212,14 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
         live = np.flatnonzero(evens < lim)
     else:
         live = np.arange(n)
-    # level j's seed is the prefix product u_1 ... u_{k-j}; past the deepest u_i != 1 it is 1
+    u1 = moduli[0]
+    if u1 != 1:
+        for m in range(s):
+            x = rows[live, m]
+            live = live[np.gcd(x if u1 < 2**63 else x.astype(object), u1) == 1]
+    # level j's seed is the product u_2 ... u_{k-j}; past the deepest u_i != 1 it is 1
     k = min(k, s + 1)
-    seeds = tuple(u for u in reversed(list(accumulate(moduli[: k - 1], operator.mul))) if u != 1)
+    seeds = tuple(u for u in reversed(list(accumulate(moduli[1 : k - 1], operator.mul))) if u != 1)
     return len(_no_prime_on(rows, k, live, seeds))
 
 

@@ -4,13 +4,14 @@ Everything here goes straight from definitions or well-known identities,
 avoiding the package's own formulas and engines: predicates test subset
 gcds literally, counts enumerate tuples, zeta is summed directly with an
 integral tail, and the pairwise density uses the classical product form.
+The multiplicative functions factor by trial division over every integer.
 Slow is fine; these only run at test scale.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 
 
 def gcd_of(values):
@@ -69,6 +70,64 @@ def squarefree_divisors(n):
         if squarefree:
             out.append(d)
     return out
+
+
+def _prime_factors(n):
+    """Ascending (prime, exponent) pairs of n >= 1, by trial division over every d >= 2."""
+    pairs, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def mobius(n):
+    """Mobius function: 0 on non-squarefree n, else (-1)^omega(n)."""
+    pairs = _prime_factors(n)
+    return 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
+
+
+def omega(n):
+    """Number of distinct prime divisors."""
+    return len(_prime_factors(n))
+
+
+def squarefree_divisor_count(n):
+    """Number of squarefree divisors of n, i.e. 2**omega(n)."""
+    return 1 << omega(n)
+
+
+def euler_phi(n):
+    """Euler totient, as n * prod_{p|n} (1 - 1/p)."""
+    out = n
+    for p, _ in _prime_factors(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def mobius_sum_weight(s, i, d):
+    """Weight d^i * prod_{p|d} sum_{m<=i} C(s,m) (1-1/p)^(i-m) p^-m.
+
+    The denominator weight of the Mobius-sum form of the constraint factors.
+    The prime powers cancel, leaving the integer (d / rad d)^i * prod_{p|d}
+    sum_{m<=i} C(s,m) (p-1)^(i-m); for squarefree d the first factor is 1.
+    """
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    if i < 1:
+        raise ValueError(f"i must be at least 1, got {i}")
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    primes = [p for p, _ in _prime_factors(d)]
+    weights = (sum(comb(s, m) * (p - 1) ** (i - m) for m in range(i + 1)) for p in primes)
+    return Fraction((d // prod(primes)) ** i * prod(weights))
 
 
 def totient_by_count(n):
@@ -147,13 +206,10 @@ def verify_recursion_unshared(s, constraint, n):
 def constraint_factor_mobius_literal(s, i, u):
     """sum over d | rad u of mu(d) C(s,i)^omega(d) / mobius_sum_weight(s, i, d).
 
-    One Fraction per squarefree divisor, found by scanning every divisor;
-    only the weight comes from the package.
+    One Fraction per squarefree divisor, found by scanning every divisor,
+    with mu, omega and the weight of this module.
     """
-    from kwise.density import mobius_sum_weight
-
     total = Fraction(0)
     for d in squarefree_divisors(u):
-        omega = sum(1 for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p)))
-        total += Fraction((-1) ** omega * comb(s, i) ** omega) / mobius_sum_weight(s, i, d)
+        total += Fraction(mobius(d) * comb(s, i) ** omega(d)) / mobius_sum_weight(s, i, d)
     return total

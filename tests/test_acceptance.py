@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from kwise.arith import euler_phi, sieve_primes, squarefree_divisor_count
+from kwise.arith import sieve_primes
 from kwise.coprime import ConstraintVector, count_tuples, is_kwise_coprime
 from kwise.density import (
     kwise_coprime_probability,
@@ -23,8 +23,10 @@ from kwise.recursion import verify_recursion
 from kwise.stats import monte_carlo
 from oracles import (
     binomial_tail_local_factor,
+    euler_phi,
     kwise_ok,
     pairwise_local_factor,
+    squarefree_divisor_count,
     zeta_reciprocal_bounds,
 )
 

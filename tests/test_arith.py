@@ -7,16 +7,19 @@ from kwise.arith import (
     BudgetError,
     Factorization,
     co_part,
-    euler_phi,
     factorize,
     is_prime,
-    mobius,
-    omega,
     sieve_primes,
-    squarefree_divisor_count,
     tight_part,
 )
-from oracles import squarefree_divisors, totient_by_count
+from oracles import (
+    euler_phi,
+    mobius,
+    omega,
+    squarefree_divisor_count,
+    squarefree_divisors,
+    totient_by_count,
+)
 
 
 def test_sieve_small():

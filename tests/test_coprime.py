@@ -29,6 +29,17 @@ def test_constraint_vector_basics():
     assert ConstraintVector.trivial(2).k == 2
 
 
+def test_constraint_vector_is_an_immutable_value():
+    c = ConstraintVector((5, 6))
+    assert repr(c) == "ConstraintVector(moduli=(5, 6))"
+    assert c == ConstraintVector(moduli=[5, 6]) and hash(c) == hash(ConstraintVector((5, 6)))
+    assert c != ConstraintVector((5, 7)) and c != (5, 6)
+    with pytest.raises(AttributeError):
+        c.moduli = (1,)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+
+
 def test_constraint_vector_rejects_bad_input():
     with pytest.raises(ConstraintError):
         ConstraintVector(())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kwise import density
-from kwise.arith import BudgetError, euler_phi, sieve_primes
+from kwise.arith import BudgetError, sieve_primes
 from kwise.coprime import ConstraintVector
 from kwise.density import (
     _decimal_ratio,
@@ -19,12 +19,13 @@ from kwise.density import (
     limiting_density,
     local_factor,
     mobius_ratio_identity,
-    mobius_sum_weight,
     tail_fraction,
 )
 from kwise.recursion import reduce_constraint_raw
 from oracles import (
     binomial_tail_local_factor,
+    euler_phi,
+    mobius_sum_weight,
     pairwise_local_factor,
     zeta_reciprocal_bounds,
 )

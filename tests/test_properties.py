@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kwise.arith import sieve_primes
@@ -38,7 +38,6 @@ from kwise.density import (
     constraint_factor_mobius,
     limiting_density,
     local_factor,
-    mobius_sum_weight,
     tail_fraction,
 )
 from kwise.recursion import _verify, reduce_constraint, reduce_constraint_raw, verify_recursion
@@ -48,6 +47,7 @@ from oracles import (
     constraint_factor_mobius_literal,
     constraint_ok,
     count_by_enumeration,
+    mobius_sum_weight,
     verify_recursion_unshared,
 )
 
@@ -165,6 +165,9 @@ def sample_rows(draw):
 
 @settings(deadline=None)
 @given(constraints(max_k=9), sample_rows())
+# u_1 != 1 is decided before the gcd walk, so these are always tried
+@example(ConstraintVector((3, 1, 5)), [[1, 6, 5, 2], [2, 7, 5, 5], [7, 11, 13, 1]])
+@example(ConstraintVector((10, 3)), [[BIG[1], 3, 3], [BIG[0], 7, 9], [Q, 11, 1]])
 def test_monte_carlo_evaluator_matches_subset_gcd(cv, rows):
     expect = sum(constraint_ok(row, cv.k, cv.moduli) for row in rows)
     assert _hits(np.array(rows, dtype=np.int64), cv.k, cv.moduli) == expect

@@ -204,6 +204,24 @@ def test_evaluator_level_seeds_take_linear_work(monkeypatch):
         assert _hits(rows, 5, moduli) == _oracle_hits(rows, 5, moduli)
 
 
+def test_evaluator_decides_u1_in_one_pass(monkeypatch):
+    # a prime of u_1 may divide no entry: one gcd per column decides it, and
+    # the walk, seeded by u_2 ... only, stays linear in the columns at s = k = 200
+    calls = []
+    gcd = np.gcd
+    monkeypatch.setattr(np, "gcd", lambda *args: calls.append(1) or gcd(*args))
+    rows = np.ones((1, 200), dtype=np.int64)
+    assert _hits(rows, 200, (3,) + (1,) * 198) == 1
+    assert len(calls) <= 2 * 200
+    # a row with one entry sharing u_1 fails, also for a u_1 beyond int64 (object gcds)
+    rng = np.random.Generator(np.random.PCG64(27))
+    rows = rng.integers(1, 60, size=(300, 5), dtype=np.int64, endpoint=True)
+    for moduli in ((3, 1, 5), (3 * 17**16, 1, 5), (10, 7), (2**64 - 59, 1, 1, 1)):
+        expect = _oracle_hits(rows, len(moduli) + 1, moduli)
+        assert _hits(rows, len(moduli) + 1, moduli) == expect
+        assert 0 < expect < len(rows)
+
+
 def test_evaluator_orders_above_s_hold_for_every_row():
     # k = 5 > s = 3, and the one modulus sits at order 4 > s: nothing to check
     rng = np.random.Generator(np.random.PCG64(22))
