@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from io import StringIO
 from math import isfinite
@@ -123,11 +122,15 @@ def _run_mc(inp: dict) -> tuple[dict, int]:
 def _run_converge(inp: dict) -> tuple[dict, int]:
     constraint = _resolve_constraint(inp)
     inp["grid"] = _parse_int_list(inp["grid"], "--grid")
-    rows = convergence_table(
+    rows = [r._asdict() for r in convergence_table(
         inp["s"], constraint, inp["grid"],
         prime_limit=inp["prime_limit"], **_work(inp),
-    )
-    return {"rows": [r._asdict() for r in rows]}, 0
+    )]
+    for row in rows:
+        # JSON has no infinity: the degenerate normalization at n = 1 is written "inf"
+        if not isfinite(row["normalized_error"]):
+            row["normalized_error"] = str(row["normalized_error"])
+    return {"rows": rows}, 0
 
 
 def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
@@ -249,18 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jsonable(value):
+def _encode(value):
+    """The JSON form of what json cannot write itself: a Fraction or a Decimal."""
     if isinstance(value, Fraction):
         return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
-    if isinstance(value, Decimal):
-        return str(value)
-    if isinstance(value, float):
-        return value if isfinite(value) else str(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    return str(value)
 
 
 def _scalar(value) -> str:
@@ -284,7 +280,7 @@ def _table(cmd: _Command, result: dict) -> list[list]:
 
 def _render(doc: dict, cmd: _Command, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(doc, default=_encode, indent=2, sort_keys=True, allow_nan=False) + "\n"
     header, rows = cmd.columns, _table(cmd, doc["result"])
     if fmt == "csv":
         buf = StringIO()

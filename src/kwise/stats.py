@@ -7,22 +7,22 @@ raw and normalized errors over an n-grid so that trend is visible.
 The Monte Carlo estimator samples uniform tuples from a finite box and
 decides each one from gcds alone, for every s, with no factorization or
 table, which makes it an independent statistical cross-check of the exact
-machinery.  One gcd recurrence of order k decides every row: a prime may
-divide k - 1 entries, and a prime of u_i, which may divide only i - 1,
-enters it k - i levels up, seeded by gcd(x, u_i).  A tuple fails as soon
-as one prime goes over its cap, so the evaluator spends its work only on
-the rows that are still open: a parity pass first drops the rows that the
-prime 2 already decides, and each column of the recurrence then drops the
-rows that fail there.  Both steps remove only rows that some prime has
-already made fail, and the rows they keep are decided by the full
-recurrence, so the hit count is exactly the number of satisfying rows.
+machinery.  One gcd walk per cap decides every row: a prime of u_i may
+divide at most i - 1 entries and any other prime at most k - 1, so the
+columns are walked once at order i with the primes of each u_i != 1 and
+once at order k with every prime.  A tuple fails as soon as one prime goes
+over its cap, so the evaluator spends its work only on the rows that are
+still open: a parity pass first drops the rows that the prime 2 already
+decides, and each column of each walk then drops the rows that fail there.
+Every step removes only rows that some prime has already made fail, and
+the rows left after the last walk have no prime over its cap, so the hit
+count is exactly the number of satisfying rows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .coprime import (
@@ -133,23 +133,23 @@ def convergence_table(
     return out
 
 
-def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, seeds: tuple[int, ...]) -> np.ndarray:
-    """The rows of live in which no prime reaches level k - 1.
+def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, u: int = 0) -> np.ndarray:
+    """The rows of live in which no prime of u divides k entries (any prime if u = 0).
 
-    A prime seeded at level e stands at level e + c - 1 once it divides c
-    columns; seeds[j - 1] carries the primes seeded at level j or higher,
-    and none is seeded above d = len(seeds).  A prime that reaches level
-    k - 1 is caught at the last column m it needs.  Walking the earlier
-    columns y, shared[j] is the part of column m whose primes stand at level
-    j or higher: it starts as gcd(column m, seeds[j - 1]), or 1 above d, and
+    Such a prime is caught at the last column m it needs, where it divides
+    x = gcd(column m, u), and gcd(column m, 0) is the column itself.  Walking
+    the earlier columns y, shared[j] is the part of x whose primes divide j
+    or more of them: shared[0] is x and every other level starts at 1, and
     since gcd intersects prime supports and lcm unites them, y lifts
     gcd(shared[j-1], y) into shared[j], with j taken downwards so that y
-    counts once.  Level k - 1 is only tested, never stored: its seed as
-    shared[k-1] != 1, and each y as gcd(shared[k-2], y) != 1.  After i
-    earlier columns every level above i + d is still 1, and a prime below
+    counts once.  Every shared[j] divides x, so the earlier columns stay raw.
+    Level k - 1 is only tested, never stored: as gcd(shared[k-2], y) != 1.
+    After i earlier columns every level above i is still 1, and a prime below
     level k - 1 - (m - i) cannot reach k - 1 in the m - i columns left, so
-    neither is updated or seeded.  Every value divides an entry of the row,
-    so int64 stays exact; gcds with a seed of 2^63 or more run on Python ints.
+    neither is updated.  A column whose x is 1 in every live row ends no
+    prime and is skipped, and at k = 1 a row fails wherever x != 1.  Every
+    value divides an entry of the row, so int64 stays exact; gcds with a u of
+    2^63 or more run on Python ints.
 
     A row with such a prime fails whatever the later columns hold, so the
     rows that fail at column m leave live before column m + 1: the later
@@ -158,46 +158,43 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, seeds: tuple[int, .
     """
     import numpy as np
 
-    top, d = k - 1, len(seeds)
-    for m in range(max(top - d, 0), cols.shape[1]):
+    top = k - 1
+    for m in range(top, cols.shape[1]):
         if not len(live):
             break
         x = cols[live, m]
-        low = max(top - m, 1)
-        found = {
-            u: np.gcd(x if u < 2**63 else x.astype(object), u).astype(np.int64, copy=False)
-            for u in set(seeds[low - 1 :])
-        }
-        shared = [x] + [found.get(u, 1) for u in seeds] + [1] * (top - d)
-        bad = np.zeros(len(live), dtype=bool) | (shared[top] != 1)
-        for i in range(m):
-            y = cols[live, i]
-            if i >= top - 1 - d:
-                bad |= np.gcd(shared[top - 1], y) != 1
-            for j in range(min(top - 1, i + 1 + d), max(top - m + i, 0), -1):
-                shared[j] = np.lcm(shared[j], np.gcd(shared[j - 1], y))
+        if u:
+            x = np.gcd(x if u < 2**63 else x.astype(object), u).astype(np.int64, copy=False)
+        bad = x != 1
+        if not bad.any():
+            continue
+        # at order 1 a prime of x is already over its cap; above it the earlier columns decide
+        if top:
+            shared, bad = [x] + [1] * (top - 1), np.zeros(len(live), dtype=bool)
+            for i in range(m):
+                y = cols[live, i]
+                if i >= top - 1:
+                    bad |= np.gcd(shared[top - 1], y) != 1
+                for j in range(min(top - 1, i + 1), max(top - m + i, 0), -1):
+                    shared[j] = np.lcm(shared[j], np.gcd(shared[j - 1], y))
         live = live[~bad]
     return live
 
 
 def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
-    """Rows satisfying the constraint, decided from gcds alone by one walk of order k.
+    """Rows satisfying the constraint, decided from gcds alone.
 
-    A prime may divide at most k - 1 entries, and a prime of u_i at most
-    i - 1, so _no_prime_on seeds it at level k - i.  Level j is seeded with
-    the product of the u_i with 2 <= i <= k - j: they are pairwise coprime,
-    so its gcd with x is the product of the gcd(x, u_i).  An order above s
-    holds for every row of s entries, so the walk has order at most s + 1,
-    and a modulus at an order above s seeds nothing.
+    A prime of u_i may divide at most i - 1 entries and any other prime at
+    most k - 1, so _no_prime_on walks once at order i for each u_i != 1 and
+    once at order k for every prime.  Each walk only drops failing rows, so
+    the rows left after all of them are exactly the satisfying ones.  A row
+    has s entries, so an order above s holds for every row and its walk has
+    no column to test.
 
-    Two passes over the columns decide some primes before the walk.  The
-    prime 2 is decided by parity: it fails at k entries, and at i entries
-    for an even u_i, so a row with at least lim = min(k, each such i) even
-    entries fails.  A prime of u_1 may divide no entry, so a row with an
-    entry that shares a factor with u_1 fails, and u_1 seeds no level of the
-    walk, where a seed at level k - 1 would lift every level at every
-    earlier column.  Dropping those rows loses no passing row, and the walk
-    still sees 2 in the rows that remain, so every verdict is exact.
+    A parity pass first decides the prime 2, which fails at k entries and at
+    i entries for an even u_i: a row with at least lim = min(k, each such i)
+    even entries fails.  Dropping those rows loses no passing row, and the
+    walks still see 2 in the rows that remain, so every verdict is exact.
     """
     import numpy as np
 
@@ -212,15 +209,10 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
         live = np.flatnonzero(evens < lim)
     else:
         live = np.arange(n)
-    u1 = moduli[0]
-    if u1 != 1:
-        for m in range(s):
-            x = rows[live, m]
-            live = live[np.gcd(x if u1 < 2**63 else x.astype(object), u1) == 1]
-    # level j's seed is the product u_2 ... u_{k-j}; past the deepest u_i != 1 it is 1
-    k = min(k, s + 1)
-    seeds = tuple(u for u in reversed(list(accumulate(moduli[1 : k - 1], operator.mul))) if u != 1)
-    return len(_no_prime_on(rows, k, live, seeds))
+    for i, u in enumerate(moduli[:s], start=1):
+        if u != 1:
+            live = _no_prime_on(rows, i, live, u)
+    return len(_no_prime_on(rows, k, live))
 
 
 def monte_carlo(

@@ -104,6 +104,22 @@ def test_csv_and_json_agree(capsys):
         assert float(predicted) == row["predicted"]
 
 
+def test_converge_writes_an_infinite_normalized_error_as_inf(capsys):
+    # at n = 1 with d > 0 the normalization divides by log(1)^d = 0; JSON has
+    # no infinity, so the document carries the string "inf", as csv and text do
+    base = ("converge", "--s", "2", "--k", "2", "--grid", "1,10")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    first, second = json.loads(out)["result"]["rows"]
+    assert '"normalized_error": "inf"' in out
+    assert first["normalized_error"] == "inf"
+    assert isinstance(second["normalized_error"], float)
+    _, out, _ = run_cli(capsys, *base, "--format", "csv")
+    assert out.splitlines()[1].endswith(",inf")
+    _, out, _ = run_cli(capsys, *base, "--format", "text")
+    assert re.search(r"^  1\t1\t.*\tinf$", out, re.MULTILINE)
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     args = ("count", "--s", "2", "--k", "3", "--n", "6")
     _, out, _ = run_cli(capsys, *args)

@@ -165,9 +165,15 @@ def sample_rows(draw):
 
 @settings(deadline=None)
 @given(constraints(max_k=9), sample_rows())
-# u_1 != 1 is decided before the gcd walk, so these are always tried
+# each u_i != 1 has a gcd walk of its own at order i, so these are always
+# tried: u_1 != 1 at order 1, then a modulus at order 2 and at orders 3 and 5
 @example(ConstraintVector((3, 1, 5)), [[1, 6, 5, 2], [2, 7, 5, 5], [7, 11, 13, 1]])
 @example(ConstraintVector((10, 3)), [[BIG[1], 3, 3], [BIG[0], 7, 9], [Q, 11, 1]])
+@example(ConstraintVector((1, 3, 1)), [[3, 6, 5, 1], [BIG[5], 5, 7, 2], [2, 4, 6, 9]])
+@example(
+    ConstraintVector((1, 1, 5, 1, 7)),
+    [[5, 10, 15, 7, 1, 2], [5, 10, 1, 7, 14, 2], [Q, Q, Q, 5, 7, 3]],
+)
 def test_monte_carlo_evaluator_matches_subset_gcd(cv, rows):
     expect = sum(constraint_ok(row, cv.k, cv.moduli) for row in rows)
     assert _hits(np.array(rows, dtype=np.int64), cv.k, cv.moduli) == expect

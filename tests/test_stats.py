@@ -187,17 +187,18 @@ def test_evaluator_stops_once_no_row_is_live(monkeypatch):
     assert calls == []
 
 
-def test_evaluator_level_seeds_take_linear_work(monkeypatch):
-    # s = k = 2000 has 1999 levels; their seeds are prefix products of the
-    # moduli, so building them may not multiply a prefix again per level
-    factors = []
-    prod = math.prod
-    monkeypatch.setattr(math, "prod", lambda xs, **kw: prod(factors.extend(xs) or xs, **kw))
+def test_evaluator_skips_a_column_that_ends_no_prime(monkeypatch):
+    # s = k = 2000 tests only column 1999, and on the all-ones row it is 1, so
+    # no prime can end there: the column is skipped before any gcd is taken
+    calls = []
+    gcd = np.gcd
+    monkeypatch.setattr(np, "gcd", lambda *args: calls.append(1) or gcd(*args))
     rows = np.ones((1, 2000), dtype=np.int64)
     moduli = (1,) * 1999
     assert _hits(rows, 2000, moduli) == 1
-    assert len(factors) <= 2000
-    # each level's seed is still the product of its moduli
+    assert calls == []
+    monkeypatch.setattr(np, "gcd", gcd)
+    # a modulus at any order is still checked
     rng = np.random.Generator(np.random.PCG64(26))
     rows = rng.integers(1, 30, size=(300, 5), dtype=np.int64, endpoint=True)
     for moduli in ((1, 3, 1, 5), (7, 1, 2, 1), (1, 1, 1, 6)):
@@ -205,8 +206,8 @@ def test_evaluator_level_seeds_take_linear_work(monkeypatch):
 
 
 def test_evaluator_decides_u1_in_one_pass(monkeypatch):
-    # a prime of u_1 may divide no entry: one gcd per column decides it, and
-    # the walk, seeded by u_2 ... only, stays linear in the columns at s = k = 200
+    # a prime of u_1 may divide no entry: the walk at order 1 is one gcd per
+    # column, and the walk at order k stays linear in the columns at s = k = 200
     calls = []
     gcd = np.gcd
     monkeypatch.setattr(np, "gcd", lambda *args: calls.append(1) or gcd(*args))
@@ -219,6 +220,30 @@ def test_evaluator_decides_u1_in_one_pass(monkeypatch):
     for moduli in ((3, 1, 5), (3 * 17**16, 1, 5), (10, 7), (2**64 - 59, 1, 1, 1)):
         expect = _oracle_hits(rows, len(moduli) + 1, moduli)
         assert _hits(rows, len(moduli) + 1, moduli) == expect
+        assert 0 < expect < len(rows)
+
+
+def test_evaluator_walks_each_modulus_once(monkeypatch):
+    # u_i walks once at order i, one gcd per column from column i - 1 on, so a
+    # 3 at u_2 or at u_151 costs at most one gcd per column at s = k = 200
+    calls = []
+    gcd = np.gcd
+    monkeypatch.setattr(np, "gcd", lambda *args: calls.append(1) or gcd(*args))
+    ones = np.ones((1, 200), dtype=np.int64)
+    for i in (2, 151):
+        moduli = (1,) * (i - 1) + (3,) + (1,) * (199 - i)
+        calls.clear()
+        # the all-ones row satisfies every constraint; the subset oracle would
+        # enumerate C(200, i) subsets, so it checks the same shapes below
+        assert _hits(ones, 200, moduli) == 1
+        assert len(calls) <= 2 * 200
+    monkeypatch.setattr(np, "gcd", gcd)
+    # the same shapes at s = k = 6, a 3 at u_2 or u_5, with more moduli beside it
+    rng = np.random.Generator(np.random.PCG64(28))
+    rows = rng.integers(1, 40, size=(300, 6), dtype=np.int64, endpoint=True)
+    for moduli in ((1, 3, 1, 1, 1), (1, 1, 1, 1, 3), (5, 3, 1, 7, 2**61 - 1), (1, 1, 10, 1, 3)):
+        expect = _oracle_hits(rows, 6, moduli)
+        assert _hits(rows, 6, moduli) == expect
         assert 0 < expect < len(rows)
 
 
