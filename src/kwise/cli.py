@@ -11,11 +11,12 @@ operators that disagree), 2 invalid input (an --output FILE that cannot be
 opened included), 3 the request exceeds a budget (an exact count above
 --budget, a sieve or a trial division above arith.MAX_SIEVE, a density
 --precision above density.MAX_PRECISION, or a verify-lemma4 sweep above
-MAX_LEMMA4_CELLS cells).  Both verify sweeps check their inputs and their
-limit before the first cell: verify-recursion refuses an s, --threads,
---budget or --n-max out of range (2) and an --n-max whose largest direct
-count, n_max^(s+1) cells, is above --budget (3); verify-lemma4 checks s and
-k, then --u-max, then its cell limit.
+MAX_LEMMA4_CELLS cells), 4 the document could not be written to stdout or
+to --output FILE (a full disk or a closed pipe).  Both verify sweeps check
+their inputs and their limit before the first cell: verify-recursion
+refuses an s, --threads, --budget or --n-max out of range (2) and an
+--n-max whose largest direct count, n_max^(s+1) cells, is above --budget
+(3); verify-lemma4 checks s and k, then --u-max, then its cell limit.
 """
 
 from __future__ import annotations
@@ -321,18 +322,27 @@ def main(argv: list[str] | None = None) -> int:
     except (ConstraintError, ArithmeticError, ValueError, TypeError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
-    if not args.output:
-        sys.stdout.write(payload)
-        return code
     # a path that cannot be opened is bad input; a failure while writing is not
     try:
-        out = open(args.output, "wb")
+        out = open(args.output, "wb") if args.output else None
     except OSError as exc:
         reason = exc.strerror or exc
         print(f"error[validation]: cannot write --output {args.output}: {reason}", file=sys.stderr)
         return 2
-    with out:
-        out.write(payload.encode("utf-8"))
+    try:
+        if out:
+            with out:
+                out.write(payload.encode("utf-8"))
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error[io]: cannot write the document: {exc.strerror or exc}", file=sys.stderr)
+        if not out and sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout again at exit, and the bytes still
+            # buffered would fail again (exit 120), so they go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     return code
 
 

@@ -10,13 +10,12 @@ table, which makes it an independent statistical cross-check of the exact
 machinery.  One gcd walk per cap decides every row: a prime of u_i may
 divide at most i - 1 entries and any other prime at most k - 1, so the
 columns are walked once at order i with the primes of each u_i != 1 and
-once at order k with every prime.  A tuple fails as soon as one prime goes
-over its cap, so the evaluator spends its work only on the rows that are
-still open: a parity pass first drops the rows that the prime 2 already
-decides, and each column of each walk then drops the rows that fail there.
-Every step removes only rows that some prime has already made fail, and
-the rows left after the last walk have no prime over its cap, so the hit
-count is exactly the number of satisfying rows.
+once at order k with every prime.  A walk counts the entries each prime
+divides in levels that exist only once some row reaches them, so its work
+follows the primes that recur.  A tuple fails as soon as one prime goes
+over its cap, so the evaluator works only on the rows still open: a parity
+pass first drops the rows that the prime 2 already decides, and each
+column of each walk then drops the rows that fail there.
 """
 
 from __future__ import annotations
@@ -139,17 +138,15 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, u: int = 0) -> np.n
     Such a prime is caught at the last column m it needs, where it divides
     x = gcd(column m, u), and gcd(column m, 0) is the column itself.  Walking
     the earlier columns y, shared[j] is the part of x whose primes divide j
-    or more of them: shared[0] is x and every other level starts at 1, and
-    since gcd intersects prime supports and lcm unites them, y lifts
-    gcd(shared[j-1], y) into shared[j], with j taken downwards so that y
-    counts once.  Every shared[j] divides x, so the earlier columns stay raw.
-    Level k - 1 is only tested, never stored: as gcd(shared[k-2], y) != 1.
-    After i earlier columns every level above i is still 1, and a prime below
-    level k - 1 - (m - i) cannot reach k - 1 in the m - i columns left, so
-    neither is updated.  A column whose x is 1 in every live row ends no
-    prime and is skipped, and at k = 1 a row fails wherever x != 1.  Every
-    value divides an entry of the row, so int64 stays exact; gcds with a u of
-    2^63 or more run on Python ints.
+    of them, and a level exists only once some live row holds a value other
+    than 1 there: shared[0] is x, and y lifts gcd(shared[j-1], y) into
+    shared[j], by lcm into a level that exists and as a new level otherwise,
+    with j taken downwards so that y counts once.  A prime below level
+    k - m + i after column i cannot reach k - 1 in the columns left, so only
+    the levels from there up are lifted, and once no level is that high,
+    column m is decided: a row fails where shared[k - 1] != 1.  Every value
+    divides an entry of the row, so int64 stays exact; gcds with a u of 2^63
+    or more run on Python ints.
 
     A row with such a prime fails whatever the later columns hold, so the
     rows that fail at column m leave live before column m + 1: the later
@@ -158,26 +155,26 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, u: int = 0) -> np.n
     """
     import numpy as np
 
-    top = k - 1
-    for m in range(top, cols.shape[1]):
+    for m in range(k - 1, cols.shape[1]):
         if not len(live):
             break
         x = cols[live, m]
         if u:
             x = np.gcd(x if u < 2**63 else x.astype(object), u).astype(np.int64, copy=False)
-        bad = x != 1
-        if not bad.any():
-            continue
-        # at order 1 a prime of x is already over its cap; above it the earlier columns decide
-        if top:
-            shared, bad = [x] + [1] * (top - 1), np.zeros(len(live), dtype=bool)
-            for i in range(m):
-                y = cols[live, i]
-                if i >= top - 1:
-                    bad |= np.gcd(shared[top - 1], y) != 1
-                for j in range(min(top - 1, i + 1), max(top - m + i, 0), -1):
-                    shared[j] = np.lcm(shared[j], np.gcd(shared[j - 1], y))
-        live = live[~bad]
+        shared = [x] if (x != 1).any() else []
+        for i in range(m):
+            levels = range(min(len(shared), k - 1), max(k - m + i, 1) - 1, -1)
+            if not levels:
+                break
+            y = cols[live, i]
+            for j in levels:
+                z = np.gcd(shared[j - 1], y)
+                if j < len(shared):
+                    shared[j] = np.lcm(shared[j], z)
+                elif (z != 1).any():
+                    shared.append(z)
+        if len(shared) == k:
+            live = live[shared[k - 1] == 1]
     return live
 
 
@@ -188,8 +185,8 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
     most k - 1, so _no_prime_on walks once at order i for each u_i != 1 and
     once at order k for every prime.  Each walk only drops failing rows, so
     the rows left after all of them are exactly the satisfying ones.  A row
-    has s entries, so an order above s holds for every row and its walk has
-    no column to test.
+    has s entries, so an order above s holds for every row: only u_1 ... u_s
+    are read, by the parity limit and by the walks.
 
     A parity pass first decides the prime 2, which fails at k entries and at
     i entries for an even u_i: a row with at least lim = min(k, each such i)
@@ -199,6 +196,7 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
     import numpy as np
 
     n, s = rows.shape
+    moduli = moduli[:s]
     lim = min([k] + [i for i, u in enumerate(moduli, start=1) if u % 2 == 0])
     if lim <= s:
         evens = np.zeros(n, dtype=np.min_scalar_type(s))
@@ -209,7 +207,7 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
         live = np.flatnonzero(evens < lim)
     else:
         live = np.arange(n)
-    for i, u in enumerate(moduli[:s], start=1):
+    for i, u in enumerate(moduli, start=1):
         if u != 1:
             live = _no_prime_on(rows, i, live, u)
     return len(_no_prime_on(rows, k, live))

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -149,6 +150,47 @@ def test_output_open_error_without_errno_names_its_message(tmp_path, capsys, mon
     code, out, err = run_cli(capsys, "primes", "--limit", "10", "--output", str(target))
     assert code == 2 and out == ""
     assert err == f"error[validation]: cannot write --output {target}: refused by policy\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_is_an_io_error(capsys):
+    # the file opens, so it is not bad input; writing the document fails
+    message = f"error[io]: cannot write the document: {os.strerror(errno.ENOSPC)}\n"
+    code, out, err = run_cli(capsys, "primes", "--limit", "10", "--output", "/dev/full")
+    assert code == 4 and out == "" and err == message
+    # on stdout, buffered (the write fails only at the flush) and unbuffered
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kwise", "primes", "--limit", "10"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env={**env, **extra},
+            )
+        assert proc.returncode == 4 and proc.stderr == message
+
+
+def test_failed_stdout_write_or_flush_is_an_io_error(capsys, monkeypatch):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class Full:
+        def __init__(self, fail):
+            self.fail = fail
+
+        def write(self, text):
+            if self.fail == "write":
+                raise full
+            return len(text)
+
+        def flush(self):
+            if self.fail == "flush":
+                raise full
+
+    for fail in ("write", "flush"):
+        monkeypatch.setattr(sys, "stdout", Full(fail))
+        code = cli.main(["primes", "--limit", "10"])
+        monkeypatch.undo()
+        assert code == 4
+        assert capsys.readouterr().err == f"error[io]: cannot write the document: {full.strerror}\n"
 
 
 def test_validation_exit_code_and_message(capsys):

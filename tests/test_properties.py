@@ -174,6 +174,12 @@ def sample_rows(draw):
     ConstraintVector((1, 1, 5, 1, 7)),
     [[5, 10, 15, 7, 1, 2], [5, 10, 1, 7, 14, 2], [Q, Q, Q, 5, 7, 3]],
 )
+# the primes of u_3 and u_4 divide only the last entries, so their walks
+# reach the levels where they fail late in the row
+@example(
+    ConstraintVector((1, 1, 5, 7)),
+    [[1, 1, 1, 7, 5, 5], [3, 1, 7, 5, 5, 5], [1, 7, 7, 7, 7, 5], [1, 2, 1, 7, 35, 35]],
+)
 def test_monte_carlo_evaluator_matches_subset_gcd(cv, rows):
     expect = sum(constraint_ok(row, cv.k, cv.moduli) for row in rows)
     assert _hits(np.array(rows, dtype=np.int64), cv.k, cv.moduli) == expect

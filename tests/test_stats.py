@@ -256,16 +256,69 @@ def test_evaluator_orders_above_s_hold_for_every_row():
     assert _hits(rows, 4, (1, 1, 1)) == len(rows)
 
 
+def _count_gcd_and_lcm(monkeypatch):
+    calls = []
+    for name in ("gcd", "lcm"):
+        f = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, f=f: calls.append(1) or f(*args))
+    return calls
+
+
 def test_evaluator_lifts_only_levels_that_can_reach_the_cap(monkeypatch):
     # s = k = 12: only column 11 is tested, and a prime that must divide all 12
     # entries stands at level i + 1 after i + 1 earlier columns, so each earlier
-    # column but the last lifts that one level: 10 lcm calls, not 55
-    calls = []
-    lcm = np.lcm
-    monkeypatch.setattr(np, "lcm", lambda *args: calls.append(1) or lcm(*args))
+    # column lifts that one level: at most one gcd and one lcm per column
+    calls = _count_gcd_and_lcm(monkeypatch)
     rows = np.array([sieve_primes(40)[:12], [3] * 12, [15] * 11 + [7]], dtype=np.int64)
     assert _hits(rows, 12, (1,) * 11) == _oracle_hits(rows, 12, (1,) * 11) == 2
-    assert len(calls) == 10
+    assert len(calls) <= 2 * (12 - 1)
+
+
+def _late_prime_rows(s, moduli, copies):
+    # row r carries the prime of u_i in copies[r][i - 2] entries, from column
+    # s - i downwards (wrapping round to the last column), so it lands late
+    rows = np.ones((len(copies), s), dtype=np.int64)
+    for r, row in enumerate(copies):
+        for i, count in enumerate(row, start=2):
+            for c in range(count):
+                rows[r, (s - i - c) % s] *= moduli[i - 1]
+    return rows
+
+
+def test_evaluator_walk_is_linear_on_late_primes(monkeypatch):
+    # u_1 = 1 and u_i the (i - 1)-th odd prime, which divides only column s - i:
+    # the walk at order i meets that prime late, and a level that would stay 1
+    # in every live row is never made, so s = k = 200 takes at most s * k calls
+    s = 200
+    moduli = (1,) + tuple(sieve_primes(2000)[1 : s - 1])
+    row = _late_prime_rows(s, moduli, [[1] * (s - 2)])
+    calls = _count_gcd_and_lcm(monkeypatch)
+    assert _hits(row, s, moduli) == 1
+    assert len(calls) <= s * s
+    monkeypatch.undo()
+    # the same shape at s = k = 6, with rows where a prime of u_i reaches i entries
+    moduli = (1, 3, 5, 7, 11)
+    copies = [[1, 1, 1, 1], [2, 1, 1, 1], [1, 3, 1, 1], [1, 2, 3, 4], [1, 1, 1, 5], [0, 1, 0, 1]]
+    rows = _late_prime_rows(6, moduli, copies)
+    assert _hits(rows, 6, moduli) == _oracle_hits(rows, 6, moduli) == 3
+
+
+def test_evaluator_reads_only_the_first_s_moduli():
+    # an order above s holds for every row, so a chunk reads u_1 ... u_s only:
+    # neither the parity limit nor the walks iterate the k - 1 moduli
+    class Counted(tuple):
+        iterations = 0
+
+        def __iter__(self):
+            Counted.iterations += 1
+            return super().__iter__()
+
+    rng = np.random.Generator(np.random.PCG64(29))
+    rows = rng.integers(1, 40, size=(300, 2), dtype=np.int64, endpoint=True)
+    moduli = (1, 1, 2) + (1,) * 996
+    expect = _oracle_hits(rows, 1000, moduli)
+    assert _hits(rows, 1000, Counted(moduli)) == expect == len(rows)
+    assert Counted.iterations == 0
 
 
 def test_evaluator_even_modulus_at_order_one():
