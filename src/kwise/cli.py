@@ -135,8 +135,8 @@ def _run_converge(inp: dict) -> tuple[dict, int]:
 
 
 def _run_verify_lemma4(inp: dict) -> tuple[dict, int]:
-    s, k, u_max = inp["s"], inp["k"], inp["u_max"]
-    _validate_order(s, k)
+    s, k = _validate_order(inp["s"], inp["k"])
+    u_max = inp["u_max"]
     if u_max < 0:
         raise ValueError(f"--u-max must be nonnegative, got {u_max}")
     if u_max * (k - 1) > MAX_LEMMA4_CELLS:

@@ -62,14 +62,20 @@ class ConstraintVector:
             checked.append(m)
         if not checked:
             raise ConstraintError("constraint vector needs at least one modulus (k >= 2)")
-        # gcd(1, m) = 1, so only the moduli above 1 can share a factor
-        for a, b in combinations([i for i, m in enumerate(checked) if m != 1], 2):
-            g = gcd(checked[a], checked[b])
-            if g != 1:
+        # gcd(1, m) = 1, so only the moduli above 1 can share a factor, and one
+        # gcd with the product of the earlier ones finds whether any pair does
+        above = [i for i, m in enumerate(checked) if m != 1]
+        earlier = checked[above[0]] if above else 1
+        for b in above[1:]:
+            if gcd(earlier, checked[b]) != 1:
+                # name the first pair in (a, b) order, as a scan of every pair finds it
+                g, a, b = next((g, a, b) for a, b in combinations(above, 2)
+                               if (g := gcd(checked[a], checked[b])) != 1)
                 raise ConstraintError(
                     f"moduli must be pairwise coprime: gcd(u_{a + 1}, u_{b + 1}) = {g} "
                     f"for u_{a + 1} = {checked[a]}, u_{b + 1} = {checked[b]}"
                 )
+            earlier *= checked[b]
         self._moduli = tuple(checked)
 
     @property

@@ -20,7 +20,7 @@ import operator
 from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, prod
 from typing import NamedTuple
 
@@ -71,19 +71,23 @@ class DensityEnclosure(NamedTuple):
             return self.upper - self.lower
 
 
-def _validate_order(s: int, k: int) -> None:
+def _validate_order(s: int, k: int) -> tuple[int, int]:
+    s, k = operator.index(s), operator.index(k)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    return s, k
 
 
-def _validate_factor_args(s: int, k: int, i: int, u: int) -> None:
-    _validate_order(s, k)
+def _validate_factor_args(s: int, k: int, i: int, u: int) -> tuple[int, int, int, int]:
+    s, k = _validate_order(s, k)
+    i, u = operator.index(i), operator.index(u)
     if not 1 <= i <= k - 1:
         raise ValueError(f"i must lie in [1, k-1] = [1, {k - 1}], got {i}")
     if u < 1:
         raise ValueError(f"u must be a positive integer, got {u}")
+    return s, k, i, u
 
 
 @cache
@@ -92,13 +96,7 @@ def _binomials(s: int, r: int) -> tuple[int, ...]:
 
 
 def _weight(s: int, r: int, p: int) -> int:
-    """W(s, r, p) = sum_{m<r} C(s,m) (p-1)^(r-1-m), the one per-prime weight.
-
-    P[p divides fewer than r of s residues] = (p-1)^(s-r+1) W(s, r, p) / p^s
-    for r <= s; every local factor, constraint factor and Mobius-sum weight
-    in this module is a product or ratio of these.  Evaluated by Horner's
-    rule in p - 1, with the binomials computed once per (s, r).
-    """
+    """W(s, r, p) = sum_{m<r} C(s,m) (p-1)^(r-1-m) for r <= s, by Horner's rule in p - 1."""
     x, out = p - 1, 0
     for c in _binomials(s, r):
         out = out * x + c
@@ -106,23 +104,28 @@ def _weight(s: int, r: int, p: int) -> int:
 
 
 def local_factor(s: int, k: int, p: int) -> Fraction:
-    """Per-prime density factor: P[p divides at most k - 1 of s residues].
-
-    Written as (1 - 1/p)^(s-k+1) * sum_{m<k} C(s,m) (1 - 1/p)^(k-1-m) p^-m,
-    which telescopes the binomial tail; equals 1 exactly when s < k since
-    no prime can divide k of fewer than k values.
-    """
-    _validate_order(s, k)
+    """Per-prime density factor: P[p divides at most k - 1 of s residues]."""
+    s, k = _validate_order(s, k)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if s < k:
-        return Fraction(1)
     return Fraction(*_local_pair(s, k, p))
 
 
-def _local_pair(s: int, k: int, p: int) -> tuple[int, int]:
-    """local_factor as an unreduced integer pair, cheap enough for product loops."""
-    return ((p - 1) ** (s - k + 1) * _weight(s, k, p), p**s)
+def _below(s: int, r: int, p: int) -> tuple[int, int]:
+    """P[p divides fewer than r of s residues] = (p-1)^e w / p^s, as (e, w).
+
+    The one per-prime probability: every factor in this module is built
+    from it.  sum_{m<r} C(s,m) (p-1)^(s-m) = (p-1)^(s-r+1) W(s, r, p); once
+    r > s it is p^s, as no prime divides r of fewer than r values.  e is
+    kept apart so that a ratio of two cancels (p-1)^e before building it.
+    """
+    return (s - r + 1, _weight(s, r, p)) if r <= s else (0, p**s)
+
+
+def _local_pair(s: int, r: int, p: int) -> tuple[int, int]:
+    """_below as the unreduced integer pair (num, p^s), cheap enough for product loops."""
+    e, w = _below(s, r, p)
+    return (p - 1) ** e * w, p**s
 
 
 def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
@@ -135,7 +138,8 @@ def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
     prime_limit^(1-k) / (k - 1), and prod(1 - x_p) >= 1 - sum(x_p).
     Zero when s < k, where every factor is exactly 1.
     """
-    _validate_order(s, k)
+    s, k = _validate_order(s, k)
+    prime_limit = operator.index(prime_limit)
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be at least 2, got {prime_limit}")
     if s < k:
@@ -221,41 +225,33 @@ def kwise_coprime_probability(
 def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
     """Exact density correction for the i-wise-coprime-to-u condition.
 
-    Multiplicative over the primes of u; each prime contributes the
-    conditional probability that it divides at most i - 1 of the s values
-    given that it divides at most k - 1.  Depends only on the radical of u,
-    and is 1 when u = 1.
+    prod_{p|u} P[p divides fewer than i of s] / P[p divides fewer than k of
+    s]: the probability that no prime of u divides i of the s values, given
+    that none divides k.  Depends only on the radical of u, and is 1 when
+    u = 1.
     """
-    _validate_factor_args(s, k, i, u)
+    s, k, i, u = _validate_factor_args(s, k, i, u)
     num = den = 1
     for p, _ in factorize(u):
-        num *= (p - 1) ** (k - i) * _weight(s, i, p)
-        den *= _weight(s, k, p)
+        (e, w), (f, v) = _below(s, i, p), _below(s, k, p)
+        num, den = num * (p - 1) ** (e - f) * w, den * v  # e >= f: (p-1)^f cancels
     return Fraction(num, den)
 
 
 def constraint_factor_mobius(s: int, k: int, i: int, u: int) -> Fraction:
-    """Mobius-sum route to the constraint factors.
+    """Mobius-sum route to the constraint factors, as its Euler product.
 
-    Evaluates sum over squarefree divisors d of u of mu(d) C(s,i)^omega(d) /
-    prod_{p|d} w_p with w_p = W(s, i + 1, p), the Mobius-sum weight
-    p^i sum_{m<=i} C(s,m) (1-1/p)^(i-m) p^-m of one prime: over the
-    denominator prod_{p|u} w_p, the d made of the primes T adds
-    (-C(s,i))^|T| times the w_p outside T.  Still
-    the inclusion-exclusion sum, independent of the product route and its
-    per-prime ratio W(s, i, p) / W(s, k, p).  Equals
-    constraint_factor(s,k,i,u) / constraint_factor(s,k,i+1,u) for i < k - 1
-    and constraint_factor(s,k,k-1,u) at i = k - 1; mobius_ratio_identity
-    checks that equality case by case.
+    The sum over squarefree d | u of mu(d) C(s,i)^omega(d) / prod_{p|d} w_p
+    is multiplicative in d, so it equals prod_{p|u} (w_p - C(s,i)) / w_p.
+    w_p = W(s, i + 1, p) is the w of _below(s, i + 1, p), p^s once i >= s;
+    at i > s, C(s,i) = 0 leaves only d = 1, and the value is 1.  Independent
+    of the product route: mobius_ratio_identity checks that it equals
+    constraint_factor(s,k,i,u) / constraint_factor(s,k,i+1,u), with
+    constraint_factor(s,k,k,u) = 1.
     """
-    _validate_factor_args(s, k, i, u)
-    weights = [_weight(s, i + 1, p) for p, _ in factorize(u)]
-    c = comb(s, i)
-    total = 0
-    for r in range(len(weights) + 1):
-        for outside in combinations(weights, len(weights) - r):
-            total += (-c) ** r * prod(outside)
-    return Fraction(total, prod(weights))
+    s, k, i, u = _validate_factor_args(s, k, i, u)
+    c, weights = comb(s, i), [_below(s, i + 1, p)[1] for p, _ in factorize(u)]
+    return Fraction(prod(w - c for w in weights), prod(weights))
 
 
 def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, Fraction, bool]]:
@@ -268,8 +264,8 @@ def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, F
     and u are integers (a float is a TypeError), so every value is a
     Fraction of Python ints and every flag a Python bool.
     """
-    s, k, u = map(operator.index, (s, k, u))
-    _validate_order(s, k)
+    s, k = _validate_order(s, k)
+    u = operator.index(u)
     factors = [constraint_factor(s, k, i, u) for i in range(1, k)] + [Fraction(1)]
     out = []
     for i in range(1, k):
@@ -294,9 +290,8 @@ def limiting_density(
     precision above MAX_PRECISION is refused with BudgetError before any work.
     """
     _check_constraint(constraint)
-    s, prime_limit, precision = map(operator.index, (s, prime_limit, precision))
-    k = constraint.k
-    _validate_order(s, k)
+    s, k = _validate_order(s, constraint.k)
+    prime_limit, precision = operator.index(prime_limit), operator.index(precision)
     if precision < 1:
         raise ValueError(f"precision must be at least 1, got {precision}")
     if precision > MAX_PRECISION:
@@ -319,5 +314,5 @@ def limiting_density(
 
 def error_log_exponent(s: int, k: int) -> int:
     """Log exponent in the counting error term: max of C(s-1, i) over 1 <= i <= k-1."""
-    _validate_order(s, k)
+    s, k = _validate_order(s, k)
     return max(comb(s - 1, i) for i in range(1, k))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kwise import coprime
+from kwise.arith import sieve_primes
 from kwise.coprime import (
     BudgetError,
     ConstraintError,
@@ -70,6 +71,10 @@ def test_constraint_vector_names_offending_pair():
     # a modulus of 1 takes no part in the pairwise check, wherever it stands
     with pytest.raises(ConstraintError, match=r"gcd\(u_2, u_4\) = 3"):
         ConstraintVector((1, 3, 1, 9))
+    # the running product first meets a shared factor at u_3, but the message
+    # names the first pair in (a, b) order
+    with pytest.raises(ConstraintError, match=r"gcd\(u_1, u_4\) = 2 for u_1 = 2, u_4 = 2"):
+        ConstraintVector((2, 3, 3, 2))
 
 
 def test_trivial_constraint_takes_no_gcd(monkeypatch):
@@ -84,6 +89,15 @@ def test_trivial_constraint_takes_no_gcd(monkeypatch):
     assert ConstraintVector.trivial(1000).k == 1000
     assert ConstraintVector((1, 5, 1, 6, 1)).moduli == (1, 5, 1, 6, 1)
     assert calls == [(5, 6)]
+
+
+def test_pairwise_check_takes_one_gcd_per_modulus(monkeypatch):
+    # one gcd with the product of the earlier moduli, not one per pair (124,750 here)
+    calls = []
+    monkeypatch.setattr(coprime, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    moduli = tuple(sieve_primes(4000)[:500])
+    assert ConstraintVector(moduli).moduli == moduli
+    assert len(calls) == 499
 
 
 def test_predicate_examples():

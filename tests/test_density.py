@@ -194,6 +194,19 @@ def test_mobius_route_matches_factor_ratios():
                     assert constraint_factor_mobius(s, k, i, u) == lhs
 
 
+def test_weight_degree_stays_within_s(monkeypatch):
+    # P[p divides fewer than r of s residues] is 1 once r > s, so no weight need
+    # run past degree s, however large k (4000 and 501 here) is
+    seen = []
+    weight = density._weight
+    monkeypatch.setattr(density, "_weight", lambda s, r, p: seen.append((s, r)) or weight(s, r, p))
+    assert all(ok for *_, ok in mobius_ratio_identity(5, 4000, 3))
+    moduli = tuple(sieve_primes(4000)[1:501])
+    assert limiting_density(2, ConstraintVector(moduli), 1000).point < 1
+    assert {s for s, _ in seen} == {5, 2}
+    assert all(r <= s + 1 for s, r in seen)
+
+
 def test_mobius_route_rejects_an_order_below_two():
     # an empty range of i must not pass for a check
     for s, k in ((2, 1), (2, 0), (0, 2)):
@@ -440,3 +453,13 @@ def test_limiting_density_takes_integers():
                                 **bad})
     with pytest.raises(TypeError):
         kwise_coprime_probability(2, 2.0)
+    # each entry point converts its integers itself, so a float k is never read
+    # as lying above s (where every factor is 1 and the tail 0)
+    for f, args in ((local_factor, (2, 2.5, 3)), (local_factor, (2.0, 3, 3)),
+                    (tail_fraction, (2, 2.5, 10)), (tail_fraction, (2, 3, 10.5)),
+                    (constraint_factor, (2, 2.5, 1, 6)), (constraint_factor, (2, 3, 1.0, 6)),
+                    (constraint_factor_mobius, (2, 3, 1, 6.0)), (error_log_exponent, (2.0, 3))):
+        with pytest.raises(TypeError):
+            f(*args)
+    assert local_factor(np.int64(2), np.int64(3), 5) == 1
+    assert constraint_factor(np.int64(2), 3, np.int64(1), np.int64(6)) == constraint_factor(2, 3, 1, 6)

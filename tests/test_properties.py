@@ -258,9 +258,12 @@ def test_mobius_sum_weight_on_non_squarefree(s, i, d):
 
 @st.composite
 def lemma4_cells(draw):
-    """(s, k, i, u) with 1 <= i < k <= s + 1 <= 9 and u <= 10^4, often not squarefree."""
+    """(s, k, i, u) with 1 <= i < k <= s + 3 <= 11 and u <= 10^4, often not squarefree.
+
+    k up to s + 3 draws i = s (w_p = p^s) and i > s, where C(s,i) = 0 leaves d = 1.
+    """
     s = draw(st.integers(1, 8))
-    k = draw(st.integers(2, s + 1))
+    k = draw(st.integers(2, s + 3))
     u = draw(st.one_of(st.integers(1, 10**4), non_squarefree.filter(lambda d: d <= 10**4)))
     return s, k, draw(st.integers(1, k - 1)), u
 
