@@ -7,11 +7,11 @@ true value, and the omitted factors multiply to at least 1 - tail for an
 explicit tail bound, so every result is returned as a certified enclosure
 [lower, upper] plus the truncated-product point value.
 
-All per-prime factors are exact fractions.  The truncated product, whose
-exact terms run to megabits, is an outward-rounded fixed-point interval
-[lo, hi] * 2^-F; the printed digits are those both ends round to, which
-are then the exact product's, or, in the rare case that the ends round
-apart, those of the exact product itself.  F grows as the product falls.
+Every factor is an exact per-prime integer pair.  The truncated product,
+whose exact terms run to megabits, is an outward-rounded fixed-point interval
+[lo, hi] * 2^-F; the printed digits are those both ends round to, which are
+then the exact product's, or, in the rare case that the ends round apart,
+those of the exact product itself.  F grows as the product falls.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from __future__ import annotations
 import operator
 from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from math import comb, prod
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import BudgetError, factorize, is_prime, sieve_primes
-from .coprime import ConstraintVector, _check_constraint
+from .coprime import ConstraintVector, _check_constraint, _prime_caps
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -90,15 +89,17 @@ def _validate_factor_args(s: int, k: int, i: int, u: int) -> tuple[int, int, int
     return s, k, i, u
 
 
-@cache
-def _binomials(s: int, r: int) -> tuple[int, ...]:
-    return tuple(comb(s, m) for m in range(r))
+# C(s, 0), C(s, 1), ... per s, each from the one before; grown in place, so one thread at a time
+_BINOMIALS: dict[int, list[int]] = {}
 
 
 def _weight(s: int, r: int, p: int) -> int:
     """W(s, r, p) = sum_{m<r} C(s,m) (p-1)^(r-1-m) for r <= s, by Horner's rule in p - 1."""
+    row = _BINOMIALS.get(s) or _BINOMIALS.setdefault(s, [1])
+    while len(row) < r:
+        row.append(row[-1] * (s - len(row) + 1) // len(row))
     x, out = p - 1, 0
-    for c in _binomials(s, r):
+    for c in row if len(row) == r else row[:r]:  # a product loop's one r reads the row itself
         out = out * x + c
     return out
 
@@ -151,7 +152,16 @@ def _decimal_ratio(num: int, den: int, digits: int, rounding: str) -> Decimal:
     """num/den to `digits` significant figures, rounded once as asked.
 
     The result, its exponent included, depends only on the value num/den.
+    Decimal(int) is superlinear in the int's length, so long operands are
+    first divided as integers: q, r = divmod(num 10^e, den), e making q >=
+    10^digits by 0.30102 < log10(2) < 0.30103.  No boundary of `digits`
+    figures lies in (q, q + 1), so (10q + [r != 0]) / 10^(e+1) rounds the same.
     """
+    if max(num.bit_length(), den.bit_length()) > 4 * digits + 64:
+        gap = num.bit_length() - den.bit_length() - 1  # num/den > 2^gap
+        e = max(0, digits - gap * (30102 if gap > 0 else 30103) // 100_000)
+        q, r = divmod(num * 10**e, den)
+        num, den = q * 10 + (r != 0), 10 ** (e + 1)
     with localcontext() as ctx:
         ctx.prec = digits
         ctx.rounding = rounding
@@ -172,30 +182,30 @@ def _interval_enclosure(
     s: int,
     k: int,
     primes: list[int],
-    factor: Fraction,
+    pairs: list[tuple[int, int]],
     tail: Fraction,
     digits: int,
     bits: int | None = None,
 ) -> tuple[Decimal, ...]:
-    """_decimals of the truncated product X = factor * prod local_factor(s, k, p).
+    """_decimals of the truncated product X of _local_pair(s, k, p) over primes, then pairs.
 
     Certificate: lo and hi bound X_j 2^F from below and above, X_j the
-    product of the first j factors, starting at 2^bits with F = bits.  Each
-    factor a/b > 0 takes lo to floor(lo 2^t a/b), hi to ceil(hi 2^t a/b) and
-    F to F + t, which keeps the bounds; t = 0 unless lo would fall below
+    product of the first j pairs, starting at 2^bits with F = bits.  Each
+    pair a/b takes lo to floor(lo 2^t a/b), hi to ceil(hi 2^t a/b) and F to
+    F + t, which keeps the bounds; t = 0 unless lo would fall below
     2^(bits-1), so each step moves an end at most one unit, under 2^(1-bits)
-    of it, however small X gets: the default bits leave about 31 bits below
-    the last digit.  The roundings of _decimals are monotone, so when lo and
-    hi give the same decimals, exponents included, X gives them too.
-    Otherwise X is computed exactly, to the same digits: a decimal of
-    `digits` figures (0.64 = (3/4)(8/9)(24/25) at s = k = 2, P = 5)
-    straddles at any width.  A given bits replaces the default, so a test
-    can force the exact branch.
+    of it, however small X gets: the default bits count the pairs and leave
+    about 31 bits below the last digit.  The roundings of _decimals are
+    monotone, so when lo and hi give the same decimals, exponents included,
+    X gives them too.  Otherwise X is computed exactly, from the same
+    pairs: a decimal of `digits` figures (0.64 = (3/4)(8/9)(24/25) at
+    s = k = 2, P = 5) straddles at any width.  A given bits replaces the
+    default, so a test can force the exact branch.
     """
-    bits = bits or -(-333 * digits // 100) + 32 + len(primes).bit_length()
+    bits = bits or -(-333 * digits // 100) + 32 + (len(primes) + len(pairs)).bit_length()
     lo = hi = 1 << bits
     scale, half = bits, 1 << (bits - 1)
-    for a, b in chain((_local_pair(s, k, p) for p in primes), [factor.as_integer_ratio()]):
+    for a, b in chain((_local_pair(s, k, p) for p in primes), pairs):
         if (down := lo * a // b) < half:
             t = bits + b.bit_length() - (lo * a).bit_length()
             lo, hi, scale = lo << t, hi << t, scale + t
@@ -204,8 +214,7 @@ def _interval_enclosure(
     low, high = (_decimals(end, 1 << scale, tail, digits) for end in (lo, hi))
     if repr(low) == repr(high):
         return low
-    exact = factor * prod(Fraction(*_local_pair(s, k, p)) for p in primes)
-    return _decimals(exact.numerator, exact.denominator, tail, digits)
+    return _decimals(*map(prod, zip(*(_local_pair(s, k, p) for p in primes), *pairs)), tail, digits)
 
 
 def kwise_coprime_probability(
@@ -222,19 +231,26 @@ def kwise_coprime_probability(
     return limiting_density(s, ConstraintVector.trivial(k), prime_limit, precision)
 
 
+def _capped_pairs(s: int, k: int, caps: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """_below(s, c + 1, p) / _below(s, k, p) per capped prime (p, c < k - 1), (p-1)^f cancelled."""
+    for p, c in caps:
+        if c < s:  # a cap of s or more is no cap: the ratio is 1
+            (e, w), (f, v) = _below(s, c + 1, p), _below(s, k, p)
+            yield (p - 1) ** (e - f) * w, v
+
+
 def constraint_factor(s: int, k: int, i: int, u: int) -> Fraction:
     """Exact density correction for the i-wise-coprime-to-u condition.
 
     prod_{p|u} P[p divides fewer than i of s] / P[p divides fewer than k of
     s]: the probability that no prime of u divides i of the s values, given
-    that none divides k.  Depends only on the radical of u, and is 1 when
-    u = 1.
+    that none divides k: the pairs limiting_density multiplies in, at cap
+    i - 1, reduced.  Depends only on the radical of u, and is 1 at u = 1.
     """
     s, k, i, u = _validate_factor_args(s, k, i, u)
     num = den = 1
-    for p, _ in factorize(u):
-        (e, w), (f, v) = _below(s, i, p), _below(s, k, p)
-        num, den = num * (p - 1) ** (e - f) * w, den * v  # e >= f: (p-1)^f cancels
+    for a, b in _capped_pairs(s, k, [(p, i - 1) for p, _ in factorize(u)]):
+        num, den = num * a, den * b
     return Fraction(num, den)
 
 
@@ -269,8 +285,7 @@ def mobius_ratio_identity(s: int, k: int, u: int) -> list[tuple[int, Fraction, F
     factors = [constraint_factor(s, k, i, u) for i in range(1, k)] + [Fraction(1)]
     out = []
     for i in range(1, k):
-        lhs = constraint_factor_mobius(s, k, i, u)
-        rhs = factors[i - 1] / factors[i]
+        lhs, rhs = constraint_factor_mobius(s, k, i, u), factors[i - 1] / factors[i]
         out.append((i, lhs, rhs, lhs == rhs))
     return out
 
@@ -283,9 +298,9 @@ def limiting_density(
 ) -> DensityEnclosure:
     """Enclosure of the limiting density of tuples satisfying a constraint.
 
-    The k-wise Euler product times the exact constraint factors for each
-    modulus.  The constraint factors are finite exact rationals, so the
-    tail certificate is the same one the bare k-wise product carries.  s,
+    The k-wise Euler product times the pair of each prime the cap map caps,
+    in one certified loop; the capped primes are finitely many, so the tail
+    certificate is the bare product's.  s,
     prime_limit and precision are integers (a float is a TypeError), and a
     precision above MAX_PRECISION is refused with BudgetError before any work.
     """
@@ -302,13 +317,10 @@ def limiting_density(
             f"tail bound {tail} is not below 1; raise prime_limit above {prime_limit}"
         )
     primes = sieve_primes(prime_limit) if s >= k else []
-    factor = Fraction(1)
-    for i, u in enumerate(constraint.moduli, start=1):
-        if u != 1:  # constraint_factor is 1 at u = 1
-            factor *= constraint_factor(s, k, i, u)
+    pairs = list(_capped_pairs(s, k, _prime_caps(constraint.moduli)))
     tail_bound = _decimal_ratio(tail.numerator, tail.denominator, precision, ROUND_CEILING)
     return DensityEnclosure(
-        *_interval_enclosure(s, k, primes, factor, tail, precision), prime_limit, tail_bound
+        *_interval_enclosure(s, k, primes, pairs, tail, precision), prime_limit, tail_bound
     )
 
 

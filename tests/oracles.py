@@ -213,3 +213,11 @@ def constraint_factor_mobius_literal(s, i, u):
     for d in squarefree_divisors(u):
         total += Fraction(mobius(d) * comb(s, i) ** omega(d)) / mobius_sum_weight(s, i, d)
     return total
+
+
+def decimal_ratio_reference(num, den, digits, rounding):
+    """num/den to `digits` figures, rounded as asked: one Decimal division of the whole operands."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = rounding
+        return Decimal(num) / Decimal(den)

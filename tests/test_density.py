@@ -7,8 +7,9 @@ import pytest
 
 from kwise import density
 from kwise.arith import BudgetError, sieve_primes
-from kwise.coprime import ConstraintVector
+from kwise.coprime import ConstraintVector, _picks
 from kwise.density import (
+    _below,
     _decimal_ratio,
     _interval_enclosure,
     _local_pair,
@@ -207,6 +208,34 @@ def test_weight_degree_stays_within_s(monkeypatch):
     assert all(r <= s + 1 for s, r in seen)
 
 
+def test_constraint_enters_the_product_as_capped_pairs(monkeypatch):
+    # at s = 2 only the primes of u_1 and u_2 are capped below s: two pairs of
+    # two probabilities each, where a walk of the moduli took 1000
+    moduli = tuple(sieve_primes(4000)[1:501])
+    k = len(moduli) + 1
+    want = constraint_factor(2, k, 1, 3) * constraint_factor(2, k, 2, 5)
+    calls = []
+    below, factor = density._below, density.constraint_factor
+    monkeypatch.setattr(density, "_below", lambda *a: calls.append("below") or below(*a))
+    monkeypatch.setattr(density, "constraint_factor", lambda *a: calls.append(a) or factor(*a))
+    enc = limiting_density(2, ConstraintVector(moduli), 1000)
+    assert len(calls) <= 4 and set(calls) == {"below"}
+    assert Fraction(enc.lower) <= want <= Fraction(enc.upper)
+
+
+def test_cap_weights_sum_to_the_capped_probability():
+    # the count engine's weights for one group of s coordinates under cap c,
+    # at x = 1/p, sum to _below(s, c + 1, p): both routes read one polynomial
+    for s in range(1, 9):
+        for c in range(s + 1):
+            for p in (2, 3, 5, 7, 101):
+                x = Fraction(1, p)
+                e, w = _below(s, c + 1, p)
+                assert 1 + sum(h * x**a for (a,), h in _picks((s,), c)) == Fraction(
+                    (p - 1) ** e * w, p**s
+                ), (s, c, p)
+
+
 def test_mobius_route_rejects_an_order_below_two():
     # an empty range of i must not pass for a check
     for s, k in ((2, 1), (2, 0), (0, 2)):
@@ -271,7 +300,7 @@ def test_decimal_ratio_directed_rounding():
 def test_interval_enclosure_compares_exponents():
     # X = (8/9)(11/26) = 0.376..., X (1 - 1/5) = 0.3008...; at 8 bits the low
     # end's lower bound is exactly 0.3, equal in value to X's inexact 0.30
-    got = _interval_enclosure(2, 2, [3], Fraction(11, 26), Fraction(1, 5), 2, bits=8)
+    got = _interval_enclosure(2, 2, [3], [(11, 26)], Fraction(1, 5), 2, bits=8)
     assert [str(d) for d in got] == ["0.30", "0.38", "0.38"]
 
 
@@ -286,11 +315,11 @@ def test_small_product_is_decided_without_the_exact_product(monkeypatch):
     # the 32 guard bits of the default width, yet one pass decides its digits
     primes = sieve_primes(1000)
     tail = tail_fraction(40, 2, 1000)
-    exact = _interval_enclosure(40, 2, primes, Fraction(1), tail, 30, bits=3)
+    exact = _interval_enclosure(40, 2, primes, [], tail, 30, bits=3)
     calls = []
     real = density._decimals
     monkeypatch.setattr(density, "_decimals", lambda *args: calls.append(args) or real(*args))
-    got = _interval_enclosure(40, 2, primes, Fraction(1), tail, 30)
+    got = _interval_enclosure(40, 2, primes, [], tail, 30)
     assert len(calls) == 2 and repr(got) == repr(exact)
     assert str(got[2]) == "2.04065149703955232567932165758E-26"
 
@@ -327,15 +356,15 @@ def test_probability_exact_when_s_below_k():
 
 def test_limiting_density_skips_moduli_of_one(monkeypatch):
     calls = []
-    factor = density.constraint_factor
-    monkeypatch.setattr(density, "constraint_factor", lambda *a: calls.append(a) or factor(*a))
+    pairs = density._capped_pairs
+    monkeypatch.setattr(density, "_capped_pairs", lambda *a: calls.append(a) or pairs(*a))
     enc = limiting_density(2, ConstraintVector.trivial(1000))
-    assert calls == []
+    assert calls == [(2, 1000, ())]
     assert (enc.lower, enc.upper, enc.point, enc.tail_bound) == (1, 1, 1, 0)
     assert enc.prime_limit == density.DEFAULT_PRIME_LIMIT
     # a modulus other than 1 still enters the product, at its own order
     assert limiting_density(3, ConstraintVector((1, 5)), 1000).point < 1
-    assert calls == [(3, 3, 2, 5)]
+    assert calls[1:] == [(3, 3, ((5, 1),))]
 
 
 def test_probability_point_is_truncated_product():

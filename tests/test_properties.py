@@ -33,6 +33,7 @@ from kwise.coprime import (
     satisfies_constraint,
 )
 from kwise.density import (
+    _decimal_ratio,
     _interval_enclosure,
     constraint_factor,
     constraint_factor_mobius,
@@ -47,6 +48,7 @@ from oracles import (
     constraint_factor_mobius_literal,
     constraint_ok,
     count_by_enumeration,
+    decimal_ratio_reference,
     mobius_sum_weight,
     verify_recursion_unshared,
 )
@@ -282,6 +284,50 @@ def _rounded(value, digits, rounding):
         return Decimal(value.numerator) / Decimal(value.denominator)
 
 
+# an int of up to about 10^4 bits, spread over its bit length
+long_ints = st.integers(0, 10_000).flatmap(lambda b: st.integers(2**b // 2, 2**b))
+
+
+@st.composite
+def decimal_ratio_cells(draw):
+    """(num, den, digits) from five families, scaled by a common factor.
+
+    Any ratio; ratios below 1e-1999; exact short decimals (64/100, 1/4, 0/7,
+    10^m/1); 10^m +- 1 over 10^m; and ties, a `digits`-figure value plus half
+    a unit.  The factor leaves the value alone and makes most operands
+    longer than _decimal_ratio's size gate.
+    """
+    digits = draw(st.integers(1, 60))
+    family = draw(st.integers(0, 4))
+    if family == 0:
+        num, den = draw(long_ints), draw(long_ints) or 1
+    elif family == 1:
+        den = draw(st.integers(10**2000, 2**10_000))
+        num = draw(st.integers(0, den // 10**1999))
+    elif family == 2:
+        short = ((64, 100), (1, 4), (0, 7), (10 ** draw(st.integers(0, 100)), 1))
+        num, den = draw(st.sampled_from(short))
+    elif family == 3:
+        den = 10 ** draw(st.integers(0, 200))
+        num = den + draw(st.sampled_from((-1, 1)))
+    else:
+        m = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+        num, den = 10 * m + 5, 10 ** draw(st.integers(0, digits + 8))
+    scale = draw(long_ints) or 1
+    return num * scale, den * scale, digits
+
+
+@settings(max_examples=400, deadline=None)
+@given(decimal_ratio_cells())
+# the tail bound of density --s 800 --k 700 --prime-limit 1000, 4.88...E-1971
+@example((comb(800, 700), 699 * 1000**699, 50))
+def test_decimal_ratio_matches_one_decimal_division(cell):
+    num, den, digits = cell
+    for rounding in (ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN):
+        got = _decimal_ratio(num, den, digits, rounding)
+        assert repr(got) == repr(decimal_ratio_reference(num, den, digits, rounding))
+
+
 @st.composite
 def density_cells(draw):
     """(s, constraint, prime limit, digits) with k <= s <= 8 and a tail below 1."""
@@ -313,7 +359,7 @@ def test_interval_product_matches_exact_product(cell):
     )
     assert [str(d) for d in (enc.lower, enc.upper, enc.point)] == [str(d) for d in expect]
     # a start far too narrow for `digits` takes the exact branch, to the same digits
-    narrow = _interval_enclosure(s, k, primes, factor, tail, digits, bits=3)
+    narrow = _interval_enclosure(s, k, primes, [factor.as_integer_ratio()], tail, digits, bits=3)
     assert [str(d) for d in narrow] == [str(d) for d in expect]
 
 
