@@ -35,12 +35,19 @@ class BudgetError(RuntimeError):
 
 @lru_cache(maxsize=1)
 def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return tuple(compress(range(limit + 1), flags))
+    """The primes up to limit >= 2, from a sieve of the odd numbers only.
+
+    flags[i] stands for 2i + 1, so the table holds (limit + 1) // 2 bytes.
+    Each odd prime p <= isqrt(limit) strikes its odd multiples from p^2 on,
+    a stride of p flags, as the even ones are not in the table.
+    """
+    flags = bytearray([1]) * ((limit + 1) // 2)
+    flags[0] = 0  # 1 is not prime
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return tuple(chain((2,), compress(range(1, limit + 1, 2), flags)))
 
 
 def sieve_primes(limit: int) -> list[int]:

@@ -7,11 +7,16 @@ true value, and the omitted factors multiply to at least 1 - tail for an
 explicit tail bound, so every result is returned as a certified enclosure
 [lower, upper] plus the truncated-product point value.
 
-Every factor is an exact per-prime integer pair.  The truncated product,
-whose exact terms run to megabits, is an outward-rounded fixed-point interval
-[lo, hi] * 2^-F; the printed digits are those both ends round to, which are
-then the exact product's, or, in the rare case that the ends round apart,
-those of the exact product itself.  F grows as the product falls.
+Every factor is an exact integer pair: one per block of sieve primes, whose
+factors are built by one Horner loop and multiplied out with math.prod, and
+one per prime that the constraint caps.  The truncated product, whose exact
+terms run to megabits, is an outward-rounded fixed-point interval
+[lo, hi] * 2^-F, one step per pair; the printed digits are those both ends
+round to, which are then the exact product's, or, in the rare case that the
+ends round apart, those of the exact product itself, built from the same
+pairs by product trees.  F grows as the product falls.  No Python call is
+made per prime: the sieve, the weights and the block products each make one
+pass over the primes, and the fixed-point loop one step per block.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import operator
 from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import comb, prod
 from typing import Iterable, Iterator, NamedTuple
@@ -93,15 +99,29 @@ def _validate_factor_args(s: int, k: int, i: int, u: int) -> tuple[int, int, int
 _BINOMIALS: dict[int, list[int]] = {}
 
 
-def _weight(s: int, r: int, p: int) -> int:
-    """W(s, r, p) = sum_{m<r} C(s,m) (p-1)^(r-1-m) for r <= s, by Horner's rule in p - 1."""
+def _weights(s: int, r: int, xs: list[int]) -> list[int]:
+    """W(s, r, x + 1) = sum_{m<r} C(s,m) x^(r-1-m) for each x in xs, r <= s.
+
+    The one weight formula, for one prime or a block of them: Horner's rule in
+    x = p - 1, each x in turn, with no call per prime.  A pass of map over
+    the list per coefficient was slower wherever the block is short or the
+    values are long, and about even elsewhere.
+    """
     row = _BINOMIALS.get(s) or _BINOMIALS.setdefault(s, [1])
     while len(row) < r:
         row.append(row[-1] * (s - len(row) + 1) // len(row))
-    x, out = p - 1, 0
-    for c in row if len(row) == r else row[:r]:  # a product loop's one r reads the row itself
-        out = out * x + c
+    out, tail = [], row[1:r]
+    for x in xs:
+        w = 1  # C(s, 0)
+        for c in tail:
+            w = w * x + c
+        out.append(w)
     return out
+
+
+def _weight(s: int, r: int, p: int) -> int:
+    """W(s, r, p) for one prime."""
+    return _weights(s, r, [p - 1])[0]
 
 
 def local_factor(s: int, k: int, p: int) -> Fraction:
@@ -112,6 +132,8 @@ def local_factor(s: int, k: int, p: int) -> Fraction:
     return Fraction(*_local_pair(s, k, p))
 
 
+# verify-lemma4 asks for the same (s, r, p) many times over its moduli
+@lru_cache(maxsize=1 << 12)
 def _below(s: int, r: int, p: int) -> tuple[int, int]:
     """P[p divides fewer than r of s residues] = (p-1)^e w / p^s, as (e, w).
 
@@ -127,6 +149,25 @@ def _local_pair(s: int, r: int, p: int) -> tuple[int, int]:
     """_below as the unreduced integer pair (num, p^s), cheap enough for product loops."""
     e, w = _below(s, r, p)
     return (p - 1) ** e * w, p**s
+
+
+def _blocks(s: int, k: int, primes: list[int]) -> Iterator[tuple[int, int]]:
+    """The product of _local_pair(s, k, p) over each block of primes, as one pair.
+
+    A block of primes p has (prod (p-1))^e prod W(s, k, p) over (prod p)^s,
+    e = s - k + 1, or (prod p)^s over itself once k > s.  A block is as many
+    primes as keep (prod p)^s under 2^2048, and at least one, so its three
+    products stay cheap; only one block's lists exist at a time.
+    """
+    size = max(1, 2048 // (s * primes[-1].bit_length())) if primes else 1
+    for i in range(0, len(primes), size):
+        block = primes[i : i + size]
+        den = prod(block) ** s
+        if k > s:
+            yield den, den
+        else:
+            xs = [p - 1 for p in block]
+            yield prod(xs) ** (s - k + 1) * prod(_weights(s, k, xs)), den
 
 
 def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
@@ -178,6 +219,15 @@ def _decimals(num: int, den: int, tail: Fraction, digits: int) -> tuple[Decimal,
     )
 
 
+def _tree_product(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(prod a, prod b) over the pairs (a, b), each side a balanced product tree."""
+    level = list(pairs) or [(1, 1)]
+    while len(level) > 1:  # pair neighbours up; an odd last pair waits a level
+        odd = level[len(level) & ~1 :]
+        level = [(a * c, b * d) for (a, b), (c, d) in zip(level[::2], level[1::2])] + odd
+    return level[0]
+
+
 def _interval_enclosure(
     s: int,
     k: int,
@@ -189,23 +239,27 @@ def _interval_enclosure(
 ) -> tuple[Decimal, ...]:
     """_decimals of the truncated product X of _local_pair(s, k, p) over primes, then pairs.
 
+    The primes enter as the pairs of _blocks, one exact pair per block, so
+    a step of the loop below is a block of primes or one of `pairs`.
     Certificate: lo and hi bound X_j 2^F from below and above, X_j the
-    product of the first j pairs, starting at 2^bits with F = bits.  Each
-    pair a/b takes lo to floor(lo 2^t a/b), hi to ceil(hi 2^t a/b) and F to
-    F + t, which keeps the bounds; t = 0 unless lo would fall below
+    product of the first j steps' pairs, starting at 2^bits with F = bits.
+    Each pair a/b takes lo to floor(lo 2^t a/b), hi to ceil(hi 2^t a/b) and
+    F to F + t, which keeps the bounds; t = 0 unless lo would fall below
     2^(bits-1), so each step moves an end at most one unit, under 2^(1-bits)
-    of it, however small X gets: the default bits count the pairs and leave
-    about 31 bits below the last digit.  The roundings of _decimals are
-    monotone, so when lo and hi give the same decimals, exponents included,
-    X gives them too.  Otherwise X is computed exactly, from the same
-    pairs: a decimal of `digits` figures (0.64 = (3/4)(8/9)(24/25) at
-    s = k = 2, P = 5) straddles at any width.  A given bits replaces the
-    default, so a test can force the exact branch.
+    of it, however small X gets.  The default bits are 3.33 a digit, 32
+    guard bits, and the bit length of the count of primes and pairs, which
+    is no less than the count of steps: the steps' drift stays about 31 bits
+    below the last digit.  The roundings of _decimals are monotone, so when
+    lo and hi give the same decimals, exponents included, X gives them too.
+    Otherwise X is computed exactly from the same pairs, each side as a
+    balanced product tree: a decimal of `digits` figures (0.64 =
+    (3/4)(8/9)(24/25) at s = k = 2, P = 5) straddles at any width.  A given
+    bits replaces the default, so a test can force the exact branch.
     """
     bits = bits or -(-333 * digits // 100) + 32 + (len(primes) + len(pairs)).bit_length()
     lo = hi = 1 << bits
     scale, half = bits, 1 << (bits - 1)
-    for a, b in chain((_local_pair(s, k, p) for p in primes), pairs):
+    for a, b in chain(_blocks(s, k, primes), pairs):
         if (down := lo * a // b) < half:
             t = bits + b.bit_length() - (lo * a).bit_length()
             lo, hi, scale = lo << t, hi << t, scale + t
@@ -214,7 +268,7 @@ def _interval_enclosure(
     low, high = (_decimals(end, 1 << scale, tail, digits) for end in (lo, hi))
     if repr(low) == repr(high):
         return low
-    return _decimals(*map(prod, zip(*(_local_pair(s, k, p) for p in primes), *pairs)), tail, digits)
+    return _decimals(*_tree_product(chain(_blocks(s, k, primes), pairs)), tail, digits)
 
 
 def kwise_coprime_probability(

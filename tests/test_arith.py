@@ -1,4 +1,5 @@
-from math import prod
+from bisect import bisect_right
+from math import isqrt, prod
 
 import pytest
 
@@ -34,6 +35,16 @@ def test_sieve_matches_trial_division():
     for n in range(2, 2001):
         by_trial = all(n % d for d in range(2, n))
         assert (n in primes) == by_trial
+
+
+def test_odd_only_sieve_matches_trial_division_at_every_limit():
+    # every limit up to 3000, and p^2 - 1, p^2, p^2 + 1 for each odd prime p <= 101:
+    # p^2 is the first multiple the odd-only table strikes for p
+    top = 101**2 + 1
+    reference = [n for n in range(2, top + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+    squares = [p * p + d for p in reference if 2 < p <= 101 for d in (-1, 0, 1)]
+    for n in [*range(3001), *squares]:
+        assert sieve_primes(n) == reference[: bisect_right(reference, n)], n
 
 
 def test_sieve_prefix_consistency():

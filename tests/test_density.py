@@ -199,6 +199,7 @@ def test_weight_degree_stays_within_s(monkeypatch):
     # P[p divides fewer than r of s residues] is 1 once r > s, so no weight need
     # run past degree s, however large k (4000 and 501 here) is
     seen = []
+    density._below.cache_clear()
     weight = density._weight
     monkeypatch.setattr(density, "_weight", lambda s, r, p: seen.append((s, r)) or weight(s, r, p))
     assert all(ok for *_, ok in mobius_ratio_identity(5, 4000, 3))
@@ -302,6 +303,22 @@ def test_interval_enclosure_compares_exponents():
     # end's lower bound is exactly 0.3, equal in value to X's inexact 0.30
     got = _interval_enclosure(2, 2, [3], [(11, 26)], Fraction(1, 5), 2, bits=8)
     assert [str(d) for d in got] == ["0.30", "0.38", "0.38"]
+
+
+def test_sieve_primes_enter_the_product_in_blocks(monkeypatch):
+    # at s = 2 below 10^6 (primes of 20 bits) a block holds 2048 // 40 = 51 primes,
+    # so the loop takes ceil(78498 / 51) steps for the primes, one per pair,
+    # and builds no per-prime pair
+    primes, pairs = sieve_primes(10**6), [(11, 26), (3, 4)]
+    tail = tail_fraction(2, 2, 10**6)
+    want = _interval_enclosure(2, 2, primes, pairs, tail, 50)
+    calls, seen = [], []
+    local_pair, blocks = density._local_pair, density._blocks
+    monkeypatch.setattr(density, "_local_pair", lambda *a: calls.append(a) or local_pair(*a))
+    monkeypatch.setattr(density, "_blocks", lambda *a: (seen.append(b) or b for b in blocks(*a)))
+    got = _interval_enclosure(2, 2, primes, pairs, tail, 50)
+    assert repr(got) == repr(want) and calls == []
+    assert len(primes) == 78498 and len(seen) <= -(-78498 // 51)
 
 
 def test_density_on_a_short_decimal_matches_exact_digits():

@@ -33,8 +33,11 @@ from kwise.coprime import (
     satisfies_constraint,
 )
 from kwise.density import (
+    _blocks,
     _decimal_ratio,
     _interval_enclosure,
+    _local_pair,
+    _tree_product,
     constraint_factor,
     constraint_factor_mobius,
     limiting_density,
@@ -371,3 +374,43 @@ def test_enclosures_nest_as_the_prime_limit_grows(cell, step):
     wide = limiting_density(s, cv, p1, digits)
     narrow = limiting_density(s, cv, p1 + step, digits)
     assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+
+
+@st.composite
+def block_shapes(draw):
+    """(s, k, prime limit) with s <= 40, 2 <= k <= s + 1 and a prime limit up to 3000."""
+    s = draw(st.integers(1, 40))
+    return s, draw(st.integers(2, s + 1)), draw(st.integers(2, 3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_shapes())
+@example((3, 2, 2))  # a single prime
+@example((1, 2, 3000))  # s = 1, so k > s
+@example((7, 8, 1000))  # k > s
+@example((2, 2, 3000))  # 430 primes in blocks of 85: the last block is short
+@example((40, 3, 3000))  # blocks of 4 primes, 2 left over
+def test_blocks_multiply_to_the_per_prime_pairs(shape):
+    s, k, prime_limit = shape
+    primes = sieve_primes(prime_limit)
+    want = tuple(map(prod, zip(*(_local_pair(s, k, p) for p in primes))))
+    blocks = list(_blocks(s, k, primes))
+    assert tuple(map(prod, zip(*blocks))) == want
+    assert _tree_product(blocks) == want
+
+
+pairs_of_factors = st.lists(
+    st.tuples(st.integers(1, 1000), st.integers(1000, 2000)), max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_shapes(), pairs_of_factors, st.integers(1, 60))
+def test_exact_branch_prints_the_default_digits(shape, pairs, digits):
+    s, k, prime_limit = shape
+    tail = tail_fraction(s, k, prime_limit)
+    assume(tail < 1)
+    primes = sieve_primes(prime_limit)
+    default = _interval_enclosure(s, k, primes, pairs, tail, digits)
+    exact = _interval_enclosure(s, k, primes, pairs, tail, digits, bits=3)
+    assert [str(d) for d in exact] == [str(d) for d in default]
