@@ -50,16 +50,24 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(chain((2,), compress(range(1, limit + 1, 2), flags)))
 
 
+def _primes(limit: int) -> tuple[int, ...]:
+    """sieve_primes(limit) as the tuple the sieve caches, read in place, not copied.
+
+    A limit above MAX_SIEVE is refused before anything is allocated.
+    """
+    if limit < 2:
+        return ()
+    if limit > MAX_SIEVE:
+        raise BudgetError(f"a sieve up to {limit} exceeds the limit of {MAX_SIEVE}")
+    return _sieve(limit)
+
+
 def sieve_primes(limit: int) -> list[int]:
     """All primes p with 2 <= p <= limit, ascending; empty when limit < 2.
 
     A limit above MAX_SIEVE is refused before anything is allocated.
     """
-    if limit < 2:
-        return []
-    if limit > MAX_SIEVE:
-        raise BudgetError(f"a sieve up to {limit} exceeds the limit of {MAX_SIEVE}")
-    return list(_sieve(limit))
+    return list(_primes(limit))
 
 
 def _trial_divisors(n: int) -> Iterable[int]:

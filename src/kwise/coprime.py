@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb, gcd, prod
 from typing import Iterable, Sequence
 
-from .arith import BudgetError, Factorization, factorize, sieve_primes
+from .arith import BudgetError, Factorization, _primes, factorize
 
 __all__ = [
     "BudgetError",
@@ -252,7 +252,7 @@ def _count_caps(
     default = k - 1
     capped = [p for p, _ in caps if p <= n]
     # a prime on the default cap needs k entries, so below s = k only capped primes count
-    primes = sieve_primes(n) if s >= k else capped
+    primes = _primes(n) if s >= k else capped
     if not primes:
         return n**s
     last = capped[-1] if capped else 0

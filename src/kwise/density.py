@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import BudgetError, factorize, is_prime, sieve_primes
+from .arith import BudgetError, _primes, factorize, is_prime
 from .coprime import ConstraintVector, _check_constraint, _prime_caps
 
 __all__ = [
@@ -151,7 +151,7 @@ def _local_pair(s: int, r: int, p: int) -> tuple[int, int]:
     return (p - 1) ** e * w, p**s
 
 
-def _blocks(s: int, k: int, primes: list[int]) -> Iterator[tuple[int, int]]:
+def _blocks(s: int, k: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The product of _local_pair(s, k, p) over each block of primes, as one pair.
 
     A block of primes p has (prod (p-1))^e prod W(s, k, p) over (prod p)^s,
@@ -231,7 +231,7 @@ def _tree_product(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
 def _interval_enclosure(
     s: int,
     k: int,
-    primes: list[int],
+    primes: Sequence[int],
     pairs: list[tuple[int, int]],
     tail: Fraction,
     digits: int,
@@ -370,7 +370,7 @@ def limiting_density(
         raise ValueError(
             f"tail bound {tail} is not below 1; raise prime_limit above {prime_limit}"
         )
-    primes = sieve_primes(prime_limit) if s >= k else []
+    primes = _primes(prime_limit) if s >= k else ()
     pairs = list(_capped_pairs(s, k, _prime_caps(constraint.moduli)))
     tail_bound = _decimal_ratio(tail.numerator, tail.denominator, precision, ROUND_CEILING)
     return DensityEnclosure(

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 # one chunk holds at most _CHUNK_ROWS rows and _CHUNK_CELLS entries (a wider row
-# is refused), so memory does not grow with s; every s <= 16 draws full-height chunks
-_CHUNK_ROWS = 1 << 16
+# is refused), so memory does not grow with s; every s <= 64 draws full-height
+# chunks, and a chunk of int32 rows at s = 10 is 640 KiB
+_CHUNK_ROWS = 1 << 14
 _CHUNK_CELLS = 1 << 20
 
 
@@ -145,8 +146,8 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, u: int = 0) -> np.n
     k - m + i after column i cannot reach k - 1 in the columns left, so only
     the levels from there up are lifted, and once no level is that high,
     column m is decided: a row fails where shared[k - 1] != 1.  Every value
-    divides an entry of the row, so int64 stays exact; gcds with a u of 2^63
-    or more run on Python ints.
+    divides an entry of the row, so the columns' own dtype stays exact; gcds
+    with a u of 2^63 or more run on Python ints.
 
     A row with such a prime fails whatever the later columns hold, so the
     rows that fail at column m leave live before column m + 1: the later
@@ -160,7 +161,7 @@ def _no_prime_on(cols: np.ndarray, k: int, live: np.ndarray, u: int = 0) -> np.n
             break
         x = cols[live, m]
         if u:
-            x = np.gcd(x if u < 2**63 else x.astype(object), u).astype(np.int64, copy=False)
+            x = np.gcd(x if u < 2**63 else x.astype(object), u).astype(cols.dtype, copy=False)
         shared = [x] if (x != 1).any() else []
         for i in range(m):
             levels = range(min(len(shared), k - 1), max(k - m + i, 1) - 1, -1)
@@ -200,7 +201,7 @@ def _hits(rows: np.ndarray, k: int, moduli: tuple[int, ...]) -> int:
     lim = min([k] + [i for i, u in enumerate(moduli, start=1) if u % 2 == 0])
     if lim <= s:
         evens = np.zeros(n, dtype=np.min_scalar_type(s))
-        low = np.empty(n, dtype=np.int64)
+        low = np.empty(n, dtype=rows.dtype)
         for m in range(s):
             np.bitwise_and(rows[:, m], 1, out=low)
             evens += low == 0
@@ -224,9 +225,13 @@ def monte_carlo(
 
     Fully deterministic for a given (seed, samples): one PCG64 generator
     seeded with seed draws the rows in chunks of min(_CHUNK_ROWS,
-    _CHUNK_CELLS // s) rows.  Every argument is checked before numpy is
-    imported: s, range_n, samples and seed take integers only (a float is
-    a TypeError), and an s above _CHUNK_CELLS, a row wider than a chunk,
+    _CHUNK_CELLS // s) rows.  The rows are int32 when range_n and u_1 ...
+    u_s are all below 2^31, since every value the evaluator forms divides an
+    entry, and int64 otherwise.  Below 2^32 the generator maps one 32-bit
+    word to each entry whatever the chunk height or the dtype, so neither
+    changes the draws.  Every argument is checked before numpy is imported:
+    s, range_n, samples and seed take integers only (a float is a
+    TypeError), and an s above _CHUNK_CELLS, a row wider than a chunk,
     raises BudgetError.
     """
     _check_constraint(constraint)
@@ -243,12 +248,13 @@ def monte_carlo(
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     import numpy as np
 
+    dtype = np.int32 if max(range_n, *constraint.moduli[:s]) < 2**31 else np.int64
     rng = np.random.Generator(np.random.PCG64(seed))
     chunk = min(_CHUNK_ROWS, _CHUNK_CELLS // s)
     hits, remaining = 0, samples
     while remaining:
         take = min(chunk, remaining)
-        rows = rng.integers(1, range_n, size=(take, s), dtype=np.int64, endpoint=True)
+        rows = rng.integers(1, range_n, size=(take, s), dtype=dtype, endpoint=True)
         hits += _hits(rows, constraint.k, constraint.moduli)
         remaining -= take
     estimate = hits / samples

@@ -4,7 +4,7 @@ from math import comb, factorial, gcd
 import numpy as np
 import pytest
 
-from kwise import coprime
+from kwise import arith, coprime
 from kwise.arith import sieve_primes
 from kwise.coprime import (
     BudgetError,
@@ -255,7 +255,7 @@ def test_single_value_count_needs_no_sieve(monkeypatch):
     def no_sieve(limit):
         raise AssertionError(f"sieve up to {limit} built for s = 1")
 
-    monkeypatch.setattr(coprime, "sieve_primes", no_sieve)
+    monkeypatch.setattr(arith, "_sieve", no_sieve)
     # values in [1, n] coprime to 6, n = 2 * 10^8
     n = 2 * 10**8
     assert count_tuples(1, ConstraintVector((6,)), n) == n - n // 2 - n // 3 + n // 6

@@ -3,19 +3,22 @@ counting engine, the Monte Carlo evaluator and the interval Euler product.
 
 The one cap evaluator (behind the predicates) and the sampler's gcd
 evaluator are checked against the subset-gcd oracles, the gcd evaluator
-also on moduli of 2^63 and above, for additivity over splits of its rows
-and for invariance under their permutations, the Mobius-expansion counter
-against enumeration and across the reduced and raw constraint shifts (which
-also give the same caps, so verify_recursion may share their counts), with
-one engine memo shared across interleaved counts and across a
-verify-recursion sweep, the weight-based formulas against their plain
-Fraction definitions, and the fixed-point interval product against the
-exact Fraction product and across prime limits.
+also on moduli of 2^63 and above and on int32 rows, for additivity over
+splits of its rows and for invariance under their permutations, the
+sampler's hits against one int64 draw of its stream at any chunk height,
+the Mobius-expansion counter against enumeration and across the reduced
+and raw constraint shifts (which also give the same caps, so
+verify_recursion may share their counts), with one engine memo shared
+across interleaved counts and across a verify-recursion sweep, the
+weight-based formulas against their plain Fraction definitions, and the
+fixed-point interval product against the exact Fraction product and across
+prime limits.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb, gcd, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kwise import stats
 from kwise.arith import sieve_primes
 from kwise.coprime import (
     ConstraintVector,
@@ -45,7 +49,7 @@ from kwise.density import (
     tail_fraction,
 )
 from kwise.recursion import _verify, reduce_constraint, reduce_constraint_raw, verify_recursion
-from kwise.stats import _hits
+from kwise.stats import _hits, monte_carlo
 from oracles import (
     binomial_tail_local_factor,
     constraint_factor_mobius_literal,
@@ -233,6 +237,69 @@ def test_monte_carlo_evaluator_is_additive_and_order_free(cv, rows, data):
     assert _hits(arr[side], cv.k, cv.moduli) + _hits(arr[~side], cv.k, cv.moduli) == total
     order = data.draw(st.permutations(range(len(rows))))
     assert _hits(arr[order], cv.k, cv.moduli) == total
+
+
+# entries below 2^31 that still share primes: Q - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+NARROW = (Q, Q - 1, 2**30, 3**19, 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29)
+
+
+@settings(deadline=None)
+@given(constraints(max_k=9), st.integers(1, 12), st.data())
+def test_monte_carlo_evaluator_is_the_same_on_int32_rows(cv, s, data):
+    entry = st.one_of(values, st.sampled_from(NARROW))
+    rows = data.draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=1, max_size=12))
+    # Q, the largest modulus int32 rows take, in place of some u_i = 1
+    moduli = list(cv.moduli)
+    slot = data.draw(st.integers(-1, len(moduli) - 1), label="slot of Q")
+    if slot >= 0 and moduli[slot] == 1:
+        moduli[slot] = Q
+    moduli = tuple(moduli)
+    expect = sum(constraint_ok(row, cv.k, moduli) for row in rows)
+    assert _hits(np.array(rows, dtype=np.int32), cv.k, moduli) == expect
+    assert _hits(np.array(rows, dtype=np.int64), cv.k, moduli) == expect
+
+
+@st.composite
+def sampler_runs(draw):
+    """(s, constraint, range_n, seed, samples), some past the int32 rows.
+
+    At most one of Q (the largest modulus int32 rows take), 17^8 (past it)
+    and 17^16 (past int64) joins a modulus, so the moduli stay coprime.
+    """
+    s = draw(st.integers(1, 12))
+    moduli = list(draw(constraints(max_k=9)).moduli)
+    big = draw(st.sampled_from((1, Q, 17**8, 17**16)))
+    moduli[draw(st.integers(0, len(moduli) - 1))] *= big
+    range_n = draw(st.one_of(st.integers(1, 200), st.sampled_from((Q, 2**31, 2**40, 2**63 - 1))))
+    seed = draw(st.integers(0, 2**64 - 1))
+    samples = 2 * draw(st.integers(0, 60)) + 1
+    return s, ConstraintVector(tuple(moduli)), range_n, seed, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampler_runs())
+@example((3, ConstraintVector((Q, 1)), Q, 1, 41))
+@example((3, ConstraintVector((1, 17**8)), 50, 2, 41))
+@example((2, ConstraintVector((17**16,)), 2**31, 3, 41))
+def test_monte_carlo_draws_do_not_depend_on_chunks_or_dtype(run):
+    # the reference: the same stream drawn at once as int64 rows
+    s, cv, range_n, seed, samples = run
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = rng.integers(1, range_n, size=(samples, s), dtype=np.int64, endpoint=True)
+    expect = _hits(rows, cv.k, cv.moduli)
+    narrow = max(range_n, *cv.moduli[:s]) < 2**31
+    for height in (1, 7, 1 << 14):
+        seen = []
+
+        def recording(rows, k, moduli):
+            seen.append(rows.dtype)
+            return _hits(rows, k, moduli)
+
+        with mock.patch.object(stats, "_CHUNK_ROWS", height):
+            with mock.patch.object(stats, "_hits", recording):
+                est = monte_carlo(s, cv, range_n, samples, seed=seed)
+        assert est.hits == expect and est.estimate == expect / samples
+        assert set(seen) == {np.dtype(np.int32 if narrow else np.int64)}
 
 
 @given(st.integers(1, 9), st.integers(2, 7), st.sampled_from((2, 3, 5, 7, 11, 101, 7919)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,11 +375,26 @@ def test_monte_carlo_chunks_are_bounded_by_cells(monkeypatch):
     assert all(n * s <= stats._CHUNK_CELLS and s == 200 for n, s in shapes)
     shapes.clear()
     monte_carlo(16, c, 1000, 70_000, seed=3)
-    assert shapes == [(65536, 16), (70_000 - 65536, 16)]
+    assert shapes == [(16384, 16)] * 4 + [(70_000 - 4 * 16384, 16)]
     shapes.clear()
     monkeypatch.setattr(stats, "_CHUNK_CELLS", 10)
     monte_carlo(10, c, 1000, 3, seed=3)
     assert shapes == [(1, 10)] * 3
+
+
+def test_monte_carlo_peak_memory_is_a_few_chunks():
+    # at s = 10 a chunk is 2^14 rows of int32 entries, 640 KiB; the draws and
+    # every walk over them fit in three (int64 chunks of 2^16 rows would peak at 7.6 MiB)
+    chunk_bytes = 2**14 * 10 * np.dtype(np.int32).itemsize
+    c = ConstraintVector.trivial(3)
+    monte_carlo(10, c, 10**6, 1000)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        monte_carlo(10, c, 10**6, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chunk_bytes
 
 
 def test_monte_carlo_refuses_a_row_wider_than_a_chunk(monkeypatch):
