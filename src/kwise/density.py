@@ -119,17 +119,13 @@ def _weights(s: int, r: int, xs: list[int]) -> list[int]:
     return out
 
 
-def _weight(s: int, r: int, p: int) -> int:
-    """W(s, r, p) for one prime."""
-    return _weights(s, r, [p - 1])[0]
-
-
 def local_factor(s: int, k: int, p: int) -> Fraction:
     """Per-prime density factor: P[p divides at most k - 1 of s residues]."""
     s, k = _validate_order(s, k)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return Fraction(*_local_pair(s, k, p))
+    e, w = _below(s, k, p)
+    return Fraction((p - 1) ** e * w, p**s)
 
 
 # verify-lemma4 asks for the same (s, r, p) many times over its moduli
@@ -137,37 +133,27 @@ def local_factor(s: int, k: int, p: int) -> Fraction:
 def _below(s: int, r: int, p: int) -> tuple[int, int]:
     """P[p divides fewer than r of s residues] = (p-1)^e w / p^s, as (e, w).
 
-    The one per-prime probability: every factor in this module is built
-    from it.  sum_{m<r} C(s,m) (p-1)^(s-m) = (p-1)^(s-r+1) W(s, r, p); once
-    r > s it is p^s, as no prime divides r of fewer than r values.  e is
-    kept apart so that a ratio of two cancels (p-1)^e before building it.
+    The one per-prime probability (_blocks reads _weights for a block of
+    primes at once).  sum_{m<r} C(s,m) (p-1)^(s-m) = (p-1)^(s-r+1) W(s, r, p);
+    once r > s it is p^s, as no prime divides r of fewer than r values.  e
+    is kept apart so that a ratio of two cancels (p-1)^e before building it.
     """
-    return (s - r + 1, _weight(s, r, p)) if r <= s else (0, p**s)
-
-
-def _local_pair(s: int, r: int, p: int) -> tuple[int, int]:
-    """_below as the unreduced integer pair (num, p^s), cheap enough for product loops."""
-    e, w = _below(s, r, p)
-    return (p - 1) ** e * w, p**s
+    return (s - r + 1, _weights(s, r, [p - 1])[0]) if r <= s else (0, p**s)
 
 
 def _blocks(s: int, k: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The product of _local_pair(s, k, p) over each block of primes, as one pair.
+    """The product of _below(s, k, p) over each block of primes, as one pair; k <= s.
 
     A block of primes p has (prod (p-1))^e prod W(s, k, p) over (prod p)^s,
-    e = s - k + 1, or (prod p)^s over itself once k > s.  A block is as many
-    primes as keep (prod p)^s under 2^2048, and at least one, so its three
-    products stay cheap; only one block's lists exist at a time.
+    e = s - k + 1.  A block is as many primes as keep (prod p)^s under
+    2^2048, and at least one, so its three products stay cheap; only one
+    block's lists exist at a time.
     """
     size = max(1, 2048 // (s * primes[-1].bit_length())) if primes else 1
     for i in range(0, len(primes), size):
         block = primes[i : i + size]
-        den = prod(block) ** s
-        if k > s:
-            yield den, den
-        else:
-            xs = [p - 1 for p in block]
-            yield prod(xs) ** (s - k + 1) * prod(_weights(s, k, xs)), den
+        xs = [p - 1 for p in block]
+        yield prod(xs) ** (s - k + 1) * prod(_weights(s, k, xs)), prod(block) ** s
 
 
 def tail_fraction(s: int, k: int, prime_limit: int) -> Fraction:
@@ -198,7 +184,7 @@ def _decimal_ratio(num: int, den: int, digits: int, rounding: str) -> Decimal:
     10^digits by 0.30102 < log10(2) < 0.30103.  No boundary of `digits`
     figures lies in (q, q + 1), so (10q + [r != 0]) / 10^(e+1) rounds the same.
     """
-    if max(num.bit_length(), den.bit_length()) > 4 * digits + 64:
+    if max(num.bit_length(), den.bit_length()) > 4 * digits + 64:  # short ones divide faster as Decimals
         gap = num.bit_length() - den.bit_length() - 1  # num/den > 2^gap
         e = max(0, digits - gap * (30102 if gap > 0 else 30103) // 100_000)
         q, r = divmod(num * 10**e, den)
@@ -237,7 +223,7 @@ def _interval_enclosure(
     digits: int,
     bits: int | None = None,
 ) -> tuple[Decimal, ...]:
-    """_decimals of the truncated product X of _local_pair(s, k, p) over primes, then pairs.
+    """_decimals of the truncated product X of _below(s, k, p) over primes, then pairs.
 
     The primes enter as the pairs of _blocks, one exact pair per block, so
     a step of the loop below is a block of primes or one of `pairs`.

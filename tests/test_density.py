@@ -1,6 +1,6 @@
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import gcd, pi
+from math import comb, gcd, pi
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from kwise.density import (
     _below,
     _decimal_ratio,
     _interval_enclosure,
-    _local_pair,
     constraint_factor,
     constraint_factor_mobius,
     error_log_exponent,
@@ -86,12 +85,17 @@ def test_local_factor_validation():
         local_factor(2, 1, 5)
 
 
-def test_local_pair_matches_fraction_form():
-    for s in range(2, 8):
-        for k in range(2, s + 1):
+def test_below_is_the_integer_pair_of_the_binomial_sum():
+    # (e, w) itself, not only the value it stands for: e = s - r + 1 and
+    # w = sum_{m<r} C(s,m) (p-1)^(r-1-m) for r <= s, and (0, p^s) once r > s
+    for s in range(1, 8):
+        for r in range(2, s + 3):
             for p in sieve_primes(60):
-                num, den = _local_pair(s, k, p)
-                assert Fraction(num, den) == local_factor(s, k, p)
+                if r > s:
+                    assert _below(s, r, p) == (0, p**s)
+                    continue
+                w = sum(comb(s, m) * (p - 1) ** (r - 1 - m) for m in range(r))
+                assert _below(s, r, p) == (s - r + 1, w)
 
 
 def test_constraint_factor_examples():
@@ -200,8 +204,8 @@ def test_weight_degree_stays_within_s(monkeypatch):
     # run past degree s, however large k (4000 and 501 here) is
     seen = []
     density._below.cache_clear()
-    weight = density._weight
-    monkeypatch.setattr(density, "_weight", lambda s, r, p: seen.append((s, r)) or weight(s, r, p))
+    weights = density._weights
+    monkeypatch.setattr(density, "_weights", lambda *a: seen.append(a[:2]) or weights(*a))
     assert all(ok for *_, ok in mobius_ratio_identity(5, 4000, 3))
     moduli = tuple(sieve_primes(4000)[1:501])
     assert limiting_density(2, ConstraintVector(moduli), 1000).point < 1
@@ -308,13 +312,13 @@ def test_interval_enclosure_compares_exponents():
 def test_sieve_primes_enter_the_product_in_blocks(monkeypatch):
     # at s = 2 below 10^6 (primes of 20 bits) a block holds 2048 // 40 = 51 primes,
     # so the loop takes ceil(78498 / 51) steps for the primes, one per pair,
-    # and builds no per-prime pair
+    # and builds no per-prime probability
     primes, pairs = sieve_primes(10**6), [(11, 26), (3, 4)]
     tail = tail_fraction(2, 2, 10**6)
     want = _interval_enclosure(2, 2, primes, pairs, tail, 50)
     calls, seen = [], []
-    local_pair, blocks = density._local_pair, density._blocks
-    monkeypatch.setattr(density, "_local_pair", lambda *a: calls.append(a) or local_pair(*a))
+    below, blocks = density._below, density._blocks
+    monkeypatch.setattr(density, "_below", lambda *a: calls.append(a) or below(*a))
     monkeypatch.setattr(density, "_blocks", lambda *a: (seen.append(b) or b for b in blocks(*a)))
     got = _interval_enclosure(2, 2, primes, pairs, tail, 50)
     assert repr(got) == repr(want) and calls == []

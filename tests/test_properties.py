@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kwise import stats
-from kwise.arith import sieve_primes
+from kwise.arith import factorize, sieve_primes
 from kwise.coprime import (
     ConstraintVector,
     _count_caps,
@@ -37,10 +37,10 @@ from kwise.coprime import (
     satisfies_constraint,
 )
 from kwise.density import (
+    _below,
     _blocks,
     _decimal_ratio,
     _interval_enclosure,
-    _local_pair,
     _tree_product,
     constraint_factor,
     constraint_factor_mobius,
@@ -65,14 +65,23 @@ VALUE_MAX = 120
 
 
 @st.composite
-def constraints(draw, max_k=4):
-    """Pairwise-coprime moduli: each small prime goes to at most one modulus."""
+def constraints(draw, max_k=4, power_max=None):
+    """Pairwise-coprime moduli: each small prime goes to at most one modulus.
+
+    Its power is p or p^2, or with power_max any that keeps the modulus
+    within power_max (2^53 and 3^33 under 10^16).
+    """
     k = draw(st.integers(2, max_k))
     moduli = [1] * (k - 1)
     for p in SMALL_PRIMES:
         slot = draw(st.integers(-1, k - 2))
-        if slot >= 0:
-            moduli[slot] *= p ** draw(st.integers(1, 2))
+        if slot < 0:
+            continue
+        top = 2
+        if power_max is not None:
+            top = max(e for e in range(64) if moduli[slot] * p**e <= power_max)
+        if top:
+            moduli[slot] *= p ** draw(st.integers(1, top))
     return ConstraintVector(tuple(moduli))
 
 
@@ -113,13 +122,26 @@ def test_reduced_shift_counts_like_raw_shift(cv, s, data):
     assert count_tuples(s, reduce_constraint(j, cv), n) == _count_caps(s, cv.k, _prime_caps(raw), n)
 
 
-@given(constraints(max_k=6), st.integers(1, 5000))
+wide_constraints = st.one_of(constraints(max_k=6), constraints(max_k=6, power_max=10**16))
+
+
+@given(wide_constraints, st.integers(1, 5000))
+@example(ConstraintVector((2**53, 3**33, 1)), 35)
+@example(ConstraintVector((3**33, 1, 2**30)), 2**5 * 7)
 def test_both_shifts_give_the_same_caps(cv, j):
-    """What lets verify_recursion count the two shifts of a j once."""
+    """What lets verify_recursion count the two shifts of a j once.
+
+    Both follow one per-prime rule: a shift by j takes each prime's cap c_p
+    (k - 1 for a prime of no modulus) to c_p - [p | j].
+    """
     assume(gcd(j, cv.moduli[0]) == 1)
-    reduced = reduce_constraint(j, cv).moduli
     raw = reduce_constraint_raw(j, cv)
+    assume(max(raw) <= 10**16)  # factorize refuses larger moduli
+    reduced = reduce_constraint(j, cv).moduli
     assert _prime_caps(reduced) == _prime_caps(raw)
+    caps = dict(_prime_caps(cv.moduli))
+    rule = {p: caps.get(p, cv.k - 1) - (j % p == 0) for p in {*caps, *dict(factorize(j))}}
+    assert _prime_caps(raw) == tuple(sorted((p, c) for p, c in rule.items() if c < cv.k - 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,7 +387,7 @@ def decimal_ratio_cells(draw):
     Any ratio; ratios below 1e-1999; exact short decimals (64/100, 1/4, 0/7,
     10^m/1); 10^m +- 1 over 10^m; and ties, a `digits`-figure value plus half
     a unit.  The factor leaves the value alone and makes most operands
-    longer than _decimal_ratio's size gate.
+    longer than _decimal_ratio's size gate; the test's examples keep some short.
     """
     digits = draw(st.integers(1, 60))
     family = draw(st.integers(0, 4))
@@ -391,6 +413,20 @@ def decimal_ratio_cells(draw):
 @given(decimal_ratio_cells())
 # the tail bound of density --s 800 --k 700 --prime-limit 1000, 4.88...E-1971
 @example((comb(800, 700), 699 * 1000**699, 50))
+# short operands, which _decimal_ratio divides as Decimals without the integer pre-division
+@example((64, 100, 1))
+@example((64, 100, 2))
+@example((64, 100, 50))
+@example((0, 7, 1))
+@example((0, 7, 30))
+@example((1, 3, 1))
+@example((1, 3, 60))
+@example((10**50 - 1, 10**50, 49))
+@example((10**50 - 1, 10**50, 50))
+@example((10**50 - 1, 10**50, 51))
+# either side of the size gate at 10 digits, 104 bits
+@example((2**103 + 1, 3, 10))
+@example((2**104 + 1, 3, 10))
 def test_decimal_ratio_matches_one_decimal_division(cell):
     num, den, digits = cell
     for rounding in (ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN):
@@ -445,22 +481,23 @@ def test_enclosures_nest_as_the_prime_limit_grows(cell, step):
 
 @st.composite
 def block_shapes(draw):
-    """(s, k, prime limit) with s <= 40, 2 <= k <= s + 1 and a prime limit up to 3000."""
-    s = draw(st.integers(1, 40))
-    return s, draw(st.integers(2, s + 1)), draw(st.integers(2, 3000))
+    """(s, k, prime limit) with 2 <= k <= s <= 40 and a prime limit up to 3000."""
+    s = draw(st.integers(2, 40))
+    return s, draw(st.integers(2, s)), draw(st.integers(2, 3000))
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_shapes())
 @example((3, 2, 2))  # a single prime
-@example((1, 2, 3000))  # s = 1, so k > s
-@example((7, 8, 1000))  # k > s
 @example((2, 2, 3000))  # 430 primes in blocks of 85: the last block is short
 @example((40, 3, 3000))  # blocks of 4 primes, 2 left over
 def test_blocks_multiply_to_the_per_prime_pairs(shape):
     s, k, prime_limit = shape
     primes = sieve_primes(prime_limit)
-    want = tuple(map(prod, zip(*(_local_pair(s, k, p) for p in primes))))
+    want = (
+        prod((p - 1) ** e * w for p in primes for e, w in [_below(s, k, p)]),
+        prod(primes) ** s,
+    )
     blocks = list(_blocks(s, k, primes))
     assert tuple(map(prod, zip(*blocks))) == want
     assert _tree_product(blocks) == want
