@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain, compress
-from math import isqrt
+from math import gcd, isqrt
 
 __all__ = [
     "BudgetError",
@@ -118,14 +118,14 @@ def tight_part(a: int, b: int) -> int:
     """Largest divisor of b whose prime support lies inside that of a.
 
     Equivalently the product over primes p dividing gcd(a, b) of the full
-    power of p in b.  tight_part(1, b) == 1 and tight_part(a, 1) == 1.
+    power of p in b, found by gcds alone, so b may be of any size.
+    tight_part(1, b) == 1 and tight_part(a, 1) == 1.
     """
     if a < 1 or b < 1:
         raise ValueError(f"tight_part expects positive integers, got ({a}, {b})")
-    out = 1
-    for p, e in factorize(b):
-        if a % p == 0:
-            out *= p**e
+    out, g = 1, a
+    while (g := gcd(b, g)) != 1:  # each g keeps the primes of the last that b still has
+        out, b = out * g, b // g
     return out
 
 

@@ -14,9 +14,9 @@ terms run to megabits, is an outward-rounded fixed-point interval
 [lo, hi] * 2^-F, one step per pair; the printed digits are those both ends
 round to, which are then the exact product's, or, in the rare case that the
 ends round apart, those of the exact product itself, built from the same
-pairs by product trees.  F grows as the product falls.  No Python call is
-made per prime: the sieve, the weights and the block products each make one
-pass over the primes, and the fixed-point loop one step per block.
+pairs.  F grows as the product falls.  No Python call is made per prime:
+the sieve, the weights and the block products each make one pass over the
+primes, and the fixed-point loop one step per block.
 """
 
 from __future__ import annotations
@@ -180,11 +180,13 @@ def _decimal_ratio(num: int, den: int, digits: int, rounding: str) -> Decimal:
 
     The result, its exponent included, depends only on the value num/den.
     Decimal(int) is superlinear in the int's length, so long operands are
-    first divided as integers: q, r = divmod(num 10^e, den), e making q >=
-    10^digits by 0.30102 < log10(2) < 0.30103.  No boundary of `digits`
-    figures lies in (q, q + 1), so (10q + [r != 0]) / 10^(e+1) rounds the same.
+    first divided as integers (an exact product at P = 10^6 rounds in 10 s,
+    not 105 s), and short ones as Decimals, 1.5 times faster at 10^5 digits.
+    q, r = divmod(num 10^e, den), e making q >= 10^digits by 0.30102 <
+    log10(2) < 0.30103.  No boundary of `digits` figures lies in (q, q + 1),
+    so (10q + [r != 0]) / 10^(e+1) rounds the same.
     """
-    if max(num.bit_length(), den.bit_length()) > 4 * digits + 64:  # short ones divide faster as Decimals
+    if max(num.bit_length(), den.bit_length()) > 4 * digits + 64:
         gap = num.bit_length() - den.bit_length() - 1  # num/den > 2^gap
         e = max(0, digits - gap * (30102 if gap > 0 else 30103) // 100_000)
         q, r = divmod(num * 10**e, den)
@@ -205,15 +207,6 @@ def _decimals(num: int, den: int, tail: Fraction, digits: int) -> tuple[Decimal,
     )
 
 
-def _tree_product(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """(prod a, prod b) over the pairs (a, b), each side a balanced product tree."""
-    level = list(pairs) or [(1, 1)]
-    while len(level) > 1:  # pair neighbours up; an odd last pair waits a level
-        odd = level[len(level) & ~1 :]
-        level = [(a * c, b * d) for (a, b), (c, d) in zip(level[::2], level[1::2])] + odd
-    return level[0]
-
-
 def _interval_enclosure(
     s: int,
     k: int,
@@ -225,24 +218,28 @@ def _interval_enclosure(
 ) -> tuple[Decimal, ...]:
     """_decimals of the truncated product X of _below(s, k, p) over primes, then pairs.
 
-    The primes enter as the pairs of _blocks, one exact pair per block, so
-    a step of the loop below is a block of primes or one of `pairs`.
-    Certificate: lo and hi bound X_j 2^F from below and above, X_j the
-    product of the first j steps' pairs, starting at 2^bits with F = bits.
-    Each pair a/b takes lo to floor(lo 2^t a/b), hi to ceil(hi 2^t a/b) and
-    F to F + t, which keeps the bounds; t = 0 unless lo would fall below
-    2^(bits-1), so each step moves an end at most one unit, under 2^(1-bits)
-    of it, however small X gets.  The default bits are 3.33 a digit, 32
-    guard bits, and the bit length of the count of primes and pairs, which
-    is no less than the count of steps: the steps' drift stays about 31 bits
-    below the last digit.  The roundings of _decimals are monotone, so when
-    lo and hi give the same decimals, exponents included, X gives them too.
-    Otherwise X is computed exactly from the same pairs, each side as a
-    balanced product tree: a decimal of `digits` figures (0.64 =
-    (3/4)(8/9)(24/25) at s = k = 2, P = 5) straddles at any width.  A given
-    bits replaces the default, so a test can force the exact branch.
+    Certificate: lo and hi bound X_j 2^F, X_j the product of the first j
+    steps, from 2^bits at F = bits; a step is a block of primes (one exact
+    pair of _blocks) or one of `pairs`.  Each pair a/b takes lo to floor(lo
+    2^t a/b), hi to ceil(hi 2^t a/b) and F to F + t, t = 0 unless lo would
+    fall below 2^(bits-1), so each step moves an end at most one unit, under
+    2^(1-bits) of it.  _decimals rounds monotonely, so when lo and hi give
+    the same decimals, exponents included, X gives them too; if not, X is
+    computed exactly: bits sets how often, never the result.  The default is
+    3.33 bits a digit, 32 guard bits and the bit length of the count of
+    primes and pairs (the drift stays 31 bits below the last digit), plus,
+    with sieve primes (k <= s), s - bitlen(2^s - W(s, k, 2)) + 2, as 2^s -
+    W(s, k, 2) is 2^s P[2 divides k or more of s]: the first block, holding
+    2, takes hi 2 units or more below 2^F, and no step raises it; near 1 it
+    would else stay an exact 1, which prints with another exponent than lo.
+    A tie (0.64 = (3/4)(8/9)(24/25) at s = k = 2, P = 5, straddled at any
+    width) runs _blocks again, since keeping the block pairs through the
+    loop costs every call memory (9 MiB at s = k = 2, P = 10^7), and
+    multiplies them with math.prod.  A given bits replaces the default.
     """
-    bits = bits or -(-333 * digits // 100) + 32 + (len(primes) + len(pairs)).bit_length()
+    if not bits:
+        near_one = s - ((1 << s) - _weights(s, k, [1])[0]).bit_length() + 2 if primes else 0
+        bits = -(-333 * digits // 100) + 32 + (len(primes) + len(pairs)).bit_length() + near_one
     lo = hi = 1 << bits
     scale, half = bits, 1 << (bits - 1)
     for a, b in chain(_blocks(s, k, primes), pairs):
@@ -254,7 +251,7 @@ def _interval_enclosure(
     low, high = (_decimals(end, 1 << scale, tail, digits) for end in (lo, hi))
     if repr(low) == repr(high):
         return low
-    return _decimals(*_tree_product(chain(_blocks(s, k, primes), pairs)), tail, digits)
+    return _decimals(*map(prod, zip(*chain(_blocks(s, k, primes), pairs))), tail, digits)
 
 
 def kwise_coprime_probability(

@@ -22,7 +22,7 @@ from .coprime import (
     _check_work,
     _count_caps,
     _prime_caps,
-    count_tuples,  # not called here; bench/probes.py and the CLI tests patch it by name
+    count_tuples,  # not called here; bench/probes.py patches it by name
 )
 
 __all__ = [

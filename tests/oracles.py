@@ -203,6 +203,22 @@ def verify_recursion_unshared(s, constraint, n):
     return count_tuples(s + 1, constraint, n), rhs_reduced, rhs_raw
 
 
+def first_occurrence_split(parts):
+    """Each part divided by its gcds with the earlier parts until it is coprime to them.
+
+    A prime shared by several parts stays, at its power there, only in the
+    first part that has it.  gcds only, so parts of any size.
+    """
+    out, earlier = [], 1
+    for m in parts:
+        rest = m
+        while (g := gcd(rest, earlier)) != 1:
+            rest //= g
+        out.append(rest)
+        earlier *= m
+    return tuple(out)
+
+
 def constraint_factor_mobius_literal(s, i, u):
     """sum over d | rad u of mu(d) C(s,i)^omega(d) / mobius_sum_weight(s, i, d).
 

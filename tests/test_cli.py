@@ -302,7 +302,7 @@ def test_recursion_sweep_above_the_budget_refused_before_work(monkeypatch, capsy
     def started(*args, **kwargs):
         raise AssertionError("the sweep was started")
 
-    for name in ("count_tuples", "_count_caps", "reduce_constraint", "reduce_constraint_raw"):
+    for name in ("_count_caps", "reduce_constraint", "reduce_constraint_raw"):
         monkeypatch.setattr(recursion, name, started)
     argv = ("verify-recursion", "--s", "2", "--u", "5,6", "--n-max", "1000")
     code, out, err = run_cli(capsys, *argv)

@@ -345,6 +345,21 @@ def test_small_product_is_decided_without_the_exact_product(monkeypatch):
     assert str(got[2]) == "2.04065149703955232567932165758E-26"
 
 
+@pytest.mark.parametrize(
+    "s, k, prime_limit, passes",
+    [(800, 700, 1000, 1), (800, 799, 1000, 1), (3000, 2999, 1000, 1), (2, 2, 5, 2)],
+)
+def test_only_a_tie_takes_the_exact_branch(monkeypatch, s, k, prime_limit, passes):
+    # 1 - D is about 2^-790 at (800, 799), and the widened start resolves it in
+    # one pass of the blocks; the exact branch makes a second pass, which only a
+    # tie such as 0.64 at (2, 2), P = 5 still takes
+    seen = []
+    blocks = density._blocks
+    monkeypatch.setattr(density, "_blocks", lambda *a: seen.append(a[:2]) or blocks(*a))
+    kwise_coprime_probability(s, k, prime_limit)
+    assert seen == [(s, k)] * passes
+
+
 def test_probability_enclosure_pairwise():
     enc = kwise_coprime_probability(2, 2, 10_000)
     target = Decimal(repr(6 / pi**2))

@@ -8,11 +8,12 @@ splits of its rows and for invariance under their permutations, the
 sampler's hits against one int64 draw of its stream at any chunk height,
 the Mobius-expansion counter against enumeration and across the reduced
 and raw constraint shifts (which also give the same caps, so
-verify_recursion may share their counts), with one engine memo shared
-across interleaved counts and across a verify-recursion sweep, the
-weight-based formulas against their plain Fraction definitions, and the
-fixed-point interval product against the exact Fraction product and across
-prime limits.
+verify_recursion may share their counts; the reduced shift is the raw
+shift's first-occurrence split, also with moduli far past 2^64), with one
+engine memo shared across interleaved counts and across a verify-recursion
+sweep, the weight-based formulas against their plain Fraction definitions,
+and the fixed-point interval product against the exact Fraction product and
+across prime limits.
 """
 
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
@@ -41,7 +42,6 @@ from kwise.density import (
     _blocks,
     _decimal_ratio,
     _interval_enclosure,
-    _tree_product,
     constraint_factor,
     constraint_factor_mobius,
     limiting_density,
@@ -56,6 +56,7 @@ from oracles import (
     constraint_ok,
     count_by_enumeration,
     decimal_ratio_reference,
+    first_occurrence_split,
     mobius_sum_weight,
     verify_recursion_unshared,
 )
@@ -142,6 +143,38 @@ def test_both_shifts_give_the_same_caps(cv, j):
     caps = dict(_prime_caps(cv.moduli))
     rule = {p: caps.get(p, cv.k - 1) - (j % p == 0) for p in {*caps, *dict(factorize(j))}}
     assert _prime_caps(raw) == tuple(sorted((p, c) for p, c in rule.items() if c < cv.k - 1))
+
+
+# no trial division reaches these: only gcds may touch them
+BIG_PRIMES = (2**61 - 1, 10**15 + 37)
+
+
+@st.composite
+def wide_shifts(draw):
+    """(constraint, j): each of SMALL_PRIMES and BIG_PRIMES goes to at most one
+    modulus and, unless that is u_1, divides j or not, each power up to 2^80."""
+    k = draw(st.integers(2, 6))
+    moduli, j = [1] * (k - 1), 1
+    for p in SMALL_PRIMES + BIG_PRIMES:
+        top = max(e for e in range(81) if p**e <= 2**80)
+        slot = draw(st.integers(-1, k - 2))
+        if slot >= 0:
+            moduli[slot] *= p ** draw(st.integers(1, top))
+        if slot != 0:
+            j *= p ** draw(st.integers(0, top))
+    return ConstraintVector(tuple(moduli)), j
+
+
+@given(wide_shifts())
+@example((ConstraintVector((3, 2**80, (2**61 - 1) * 5**34)), 2**79 * (2**61 - 1) * (10**15 + 37)))
+def test_reduced_shift_is_the_first_occurrence_split_of_the_raw_shift(shift):
+    """The reduced shift is the raw shift's problem as a ConstraintVector.
+
+    Each prime stays only in the first raw component that has it, the one
+    with the tightest cap, so both shifts have one cap map.
+    """
+    cv, j = shift
+    assert reduce_constraint(j, cv).moduli == first_occurrence_split(reduce_constraint_raw(j, cv))
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,7 +533,6 @@ def test_blocks_multiply_to_the_per_prime_pairs(shape):
     )
     blocks = list(_blocks(s, k, primes))
     assert tuple(map(prod, zip(*blocks))) == want
-    assert _tree_product(blocks) == want
 
 
 pairs_of_factors = st.lists(
