@@ -227,18 +227,24 @@ def _interval_enclosure(
     the same decimals, exponents included, X gives them too; if not, X is
     computed exactly: bits sets how often, never the result.  The default is
     3.33 bits a digit, 32 guard bits and the bit length of the count of
-    primes and pairs (the drift stays 31 bits below the last digit), plus,
-    with sieve primes (k <= s), s - bitlen(2^s - W(s, k, 2)) + 2, as 2^s -
-    W(s, k, 2) is 2^s P[2 divides k or more of s]: the first block, holding
-    2, takes hi 2 units or more below 2^F, and no step raises it; near 1 it
-    would else stay an exact 1, which prints with another exponent than lo.
+    primes and pairs (the drift stays 31 bits below the last digit), plus
+    the least width w over the steps: a step a/b < 1 takes hi = 2^F 2 units
+    or more below 2^F once F >= w = bitlen(b) - bitlen(b - a) + 2, as then
+    2^F (b - a)/b > 2^(F - w + 1), and no step raises hi.  Every capped
+    pair (c < s) is below 1; the block holding 2 (k <= s) falls at least as
+    far as 2's own factor W(s, k, 2)/2^s, so the sieve primes' w is s -
+    bitlen(2^s - W(s, k, 2)) + 2.  Near 1, hi would else stay an exact 1,
+    which prints with another exponent than lo.
     A tie (0.64 = (3/4)(8/9)(24/25) at s = k = 2, P = 5, straddled at any
     width) runs _blocks again, since keeping the block pairs through the
     loop costs every call memory (9 MiB at s = k = 2, P = 10^7), and
     multiplies them with math.prod.  A given bits replaces the default.
     """
     if not bits:
-        near_one = s - ((1 << s) - _weights(s, k, [1])[0]).bit_length() + 2 if primes else 0
+        widths = [b.bit_length() - (b - a).bit_length() + 2 for a, b in pairs]
+        if primes:
+            widths.append(s - ((1 << s) - _weights(s, k, [1])[0]).bit_length() + 2)
+        near_one = min(widths, default=0)
         bits = -(-333 * digits // 100) + 32 + (len(primes) + len(pairs)).bit_length() + near_one
     lo = hi = 1 << bits
     scale, half = bits, 1 << (bits - 1)

@@ -346,18 +346,25 @@ def test_small_product_is_decided_without_the_exact_product(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "s, k, prime_limit, passes",
-    [(800, 700, 1000, 1), (800, 799, 1000, 1), (3000, 2999, 1000, 1), (2, 2, 5, 2)],
+    "s, moduli, prime_limit, passes",
+    [
+        (800, (1,) * 699, 1000, 1),
+        (800, (1,) * 798, 1000, 1),
+        (3000, (1,) * 2998, 1000, 1),
+        (300, (1,) * 298 + (5, 6), 1000, 1),
+        (2, (1,), 5, 2),
+    ],
 )
-def test_only_a_tie_takes_the_exact_branch(monkeypatch, s, k, prime_limit, passes):
+def test_only_a_tie_takes_the_exact_branch(monkeypatch, s, moduli, prime_limit, passes):
     # 1 - D is about 2^-790 at (800, 799), and the widened start resolves it in
-    # one pass of the blocks; the exact branch makes a second pass, which only a
-    # tie such as 0.64 at (2, 2), P = 5 still takes
+    # one pass of the blocks; at s = 300 < k the capped pair of 2, 1 - 2^-300,
+    # widens it instead; the exact branch makes a second pass, which only a tie
+    # such as 0.64 at (2, 2), P = 5 still takes
     seen = []
     blocks = density._blocks
     monkeypatch.setattr(density, "_blocks", lambda *a: seen.append(a[:2]) or blocks(*a))
-    kwise_coprime_probability(s, k, prime_limit)
-    assert seen == [(s, k)] * passes
+    limiting_density(s, ConstraintVector(moduli), prime_limit)
+    assert seen == [(s, len(moduli) + 1)] * passes
 
 
 def test_probability_enclosure_pairwise():

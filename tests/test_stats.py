@@ -382,19 +382,24 @@ def test_monte_carlo_chunks_are_bounded_by_cells(monkeypatch):
     assert shapes == [(1, 10)] * 3
 
 
-def test_monte_carlo_peak_memory_is_a_few_chunks():
-    # at s = 10 a chunk is 2^14 rows of int32 entries, 640 KiB; the draws and
-    # every walk over them fit in three (int64 chunks of 2^16 rows would peak at 7.6 MiB)
-    chunk_bytes = 2**14 * 10 * np.dtype(np.int32).itemsize
+@pytest.mark.parametrize(
+    "s, range_n, samples, dtype",
+    [(10, 10**6, 10**5, np.int32), (64, 10**6, 4 * 10**4, np.int32), (10, 2**31, 10**5, np.int64)],
+)
+def test_monte_carlo_holds_one_chunk_at_a_time(s, range_n, samples, dtype):
+    # a chunk is 2^14 rows: 640 KiB of int32 at s = 10, 2^20 cells (4 MiB) at
+    # s = 64, and 1.25 MiB of int64 at range 2^31; the walks over a chunk add
+    # index arrays, and a chunk still held while the next is drawn would make 2
+    chunk_bytes = 2**14 * s * np.dtype(dtype).itemsize
     c = ConstraintVector.trivial(3)
-    monte_carlo(10, c, 10**6, 1000)  # numpy's one-time allocations
+    monte_carlo(s, c, range_n, 1000)  # numpy's one-time allocations
     tracemalloc.start()
     try:
-        monte_carlo(10, c, 10**6, 10**5)
+        monte_carlo(s, c, range_n, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * chunk_bytes
+    assert peak < 1.5 * chunk_bytes
 
 
 def test_monte_carlo_refuses_a_row_wider_than_a_chunk(monkeypatch):
